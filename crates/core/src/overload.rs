@@ -20,7 +20,6 @@
 //! recording races, shed-settlement wakeups) exhaustively.
 
 use mc_lm::presets::ModelPreset;
-use mc_obs::{point_span, EventKind, Recorder, SpanKind, TraceEvent};
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::{Arc, Mutex};
 use mc_tslib::error::TsError;
@@ -113,19 +112,6 @@ impl ServeDefect {
         };
         TsError::Overloaded { kind: self.kind(), detail }
     }
-}
-
-/// Emits the deterministic telemetry for one admission shed: the `shed`
-/// trace event plus a zero-length `shed` span, both keyed by the dropped
-/// request's trace fingerprint. Shedding is a value-based cut (priority
-/// desc, fingerprint asc), so the shed *set* — and with it this span
-/// multiset — is invariant across submission orders and worker counts.
-pub fn record_shed(obs: &dyn Recorder, req: u64, priority: Priority) {
-    if !obs.enabled() {
-        return;
-    }
-    obs.record(TraceEvent { req, ctx: 0, kind: EventKind::Shed { priority: priority.rank() } });
-    point_span(obs, req, SpanKind::Shed);
 }
 
 /// When a per-preset circuit breaker trips and how long it stays open.

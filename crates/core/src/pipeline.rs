@@ -77,21 +77,21 @@ pub fn run_continuation(
     Ok((text, model.cost()))
 }
 
-/// Runs `samples` continuations (scoped threads, deterministic seeds) and
-/// decodes each with `decode`; returns the per-sample decodings
+/// The plain refit-per-sample loop, kept as a test oracle: the robust
+/// ladder's first attempts must reproduce it exactly. Runs `samples`
+/// continuations (scoped threads, deterministic seeds) and decodes each
+/// with `decode`; returns the per-sample decodings
 /// (`sample → dimension → horizon`) and the summed cost.
 ///
 /// A panicking sample thread is isolated by `catch_unwind` and surfaced as
-/// a [`TsError::Pipeline`] error rather than aborting the process. For
-/// per-sample retry, quorum and fallback semantics use
-/// [`crate::robust::run_samples_robust`], which builds on this primitive's
-/// seeding scheme.
+/// a [`TsError::Pipeline`] error rather than aborting the process.
 ///
 /// # Errors
 /// The first error among: an invalid `samples` count, a failed
 /// continuation ([`run_continuation`]), a failed decode, or a panicked
 /// sample thread.
-pub fn run_samples<D>(
+#[cfg(test)]
+pub(crate) fn run_samples<D>(
     spec: &ContinuationSpec,
     samples: usize,
     sampler_for: impl Fn(usize) -> SamplerConfig + Sync,

@@ -31,10 +31,7 @@ use mc_tslib::series::MultivariateSeries;
 use mc_baselines::fallback::FallbackForecaster;
 use mc_lm::cost::InferenceCost;
 use mc_lm::sampler::SamplerConfig;
-use mc_obs::{
-    point_span, AttemptClass, Counter, EventKind, MetricsRegistry, NoopRecorder, Recorder,
-    SpanGuard, SpanKind, TraceEvent,
-};
+use mc_obs::{Counter, MetricsRegistry};
 
 use crate::pipeline::{run_continuation, ContinuationSpec};
 
@@ -757,155 +754,6 @@ pub fn execute_attempt(
     }
 }
 
-/// [`execute_attempt`] wrapped in causal spans: an `attempt(sample, n)`
-/// span covers the whole unit and a nested `draw` span covers the
-/// backend decode inside it. Span ids are pure functions of the
-/// request fingerprint and coordinates, so the span multiset is
-/// schedule-invariant like the attempt events themselves. Both guards
-/// close via `Drop`, which runs during the `catch_unwind` unwind inside
-/// `execute_attempt` — a panicking draw still closes its spans. Results
-/// are identical to the unobserved path.
-pub fn execute_attempt_observed(
-    scope: TraceScope<'_>,
-    source: SampleSource,
-    (sample, attempt): (usize, usize),
-    expect: &SampleExpectations,
-    budget: Option<u64>,
-    draw: impl FnOnce(Option<u64>) -> Result<(String, InferenceCost)>,
-    decode: impl FnOnce(&str) -> Result<Vec<Vec<f64>>>,
-) -> AttemptOutcome {
-    let coords = (sample as u32, attempt as u32);
-    let _attempt_span = SpanGuard::open(
-        scope.obs,
-        scope.req,
-        SpanKind::Attempt { sample: coords.0, attempt: coords.1 },
-    );
-    execute_attempt(
-        source,
-        sample,
-        attempt,
-        expect,
-        budget,
-        move |effective| {
-            let _draw_span = SpanGuard::open(
-                scope.obs,
-                scope.req,
-                SpanKind::Draw { sample: coords.0, attempt: coords.1 },
-            );
-            draw(effective)
-        },
-        decode,
-    )
-}
-
-/// A recorder plus the request/context trace keys its events are tagged
-/// with — bundled so observed entry points stay at a sane arity.
-#[derive(Clone, Copy)]
-pub struct TraceScope<'a> {
-    /// Event sink (a disabled recorder makes every emission free).
-    pub obs: &'a dyn Recorder,
-    /// Request content fingerprint events carry (0 = unscoped).
-    pub req: u64,
-    /// Context content fingerprint events carry (0 = unscoped).
-    pub ctx: u64,
-}
-
-impl TraceScope<'_> {
-    /// The unobserved default: every emission is dropped.
-    pub fn disabled() -> TraceScope<'static> {
-        TraceScope { obs: &NoopRecorder, req: 0, ctx: 0 }
-    }
-}
-
-/// Emits the trace events one attempt outcome implies: a `defect` event
-/// per observed defect, `panic_isolated` for caught panics, and the
-/// `attempt` event itself (carrying the attempt's cost; zero for panicked
-/// and infra attempts, which never completed a draw). Shared by the
-/// sequential ladder ([`run_attempts_observed`]) and the serve scheduler
-/// so both emit the same canonical trace for the same outcomes. No-op
-/// when `obs` is disabled.
-pub fn record_attempt(
-    obs: &dyn Recorder,
-    req: u64,
-    ctx: u64,
-    sample: usize,
-    attempt: usize,
-    outcome: &AttemptOutcome,
-) {
-    if !obs.enabled() {
-        return;
-    }
-    let (sample, attempt) = (sample as u32, attempt as u32);
-    match outcome {
-        AttemptOutcome::Done { cost, defects, .. } => {
-            for defect in defects {
-                obs.record(TraceEvent {
-                    req,
-                    ctx,
-                    kind: EventKind::Defect {
-                        sample,
-                        attempt,
-                        class: defect.class().index() as u8,
-                        fatal: defect.is_fatal(),
-                    },
-                });
-            }
-            let fatal = defects.iter().any(SampleDefect::is_fatal);
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Attempt {
-                    sample,
-                    attempt,
-                    outcome: if fatal { AttemptClass::Defective } else { AttemptClass::Valid },
-                    defects: defects.len() as u32,
-                    generated_tokens: cost.generated_tokens,
-                    work_units: cost.work_units,
-                },
-            });
-        }
-        AttemptOutcome::Infra(_) => {
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Attempt {
-                    sample,
-                    attempt,
-                    outcome: AttemptClass::Infra,
-                    defects: 0,
-                    generated_tokens: 0,
-                    work_units: 0,
-                },
-            });
-        }
-        AttemptOutcome::Panicked(_) => {
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Defect {
-                    sample,
-                    attempt,
-                    class: DefectClass::Panicked.index() as u8,
-                    fatal: true,
-                },
-            });
-            obs.record(TraceEvent { req, ctx, kind: EventKind::PanicIsolated { sample, attempt } });
-            obs.record(TraceEvent {
-                req,
-                ctx,
-                kind: EventKind::Attempt {
-                    sample,
-                    attempt,
-                    outcome: AttemptClass::Panicked,
-                    defects: 1,
-                    generated_tokens: 0,
-                    work_units: 0,
-                },
-            });
-        }
-    }
-}
-
 /// What the caller should do with a sample after applying an attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptDisposition {
@@ -1132,29 +980,6 @@ where
     Draw: Fn(usize, Option<u64>) -> Result<(String, InferenceCost)> + Sync,
     D: Fn(&str) -> Result<Vec<Vec<f64>>> + Sync,
 {
-    run_attempts_observed(samples, policy, source, expect, draw, decode, TraceScope::disabled())
-}
-
-/// [`run_attempts`] with trace emission: every attempt goes through
-/// [`record_attempt`], and retries emit `retry` events. Semantics and
-/// results are identical to the unobserved path — the recorder only
-/// watches.
-///
-/// # Errors
-/// Exactly as [`run_attempts`].
-pub fn run_attempts_observed<Draw, D>(
-    samples: usize,
-    policy: RobustPolicy,
-    source: SampleSource,
-    expect: &SampleExpectations,
-    draw: Draw,
-    decode: D,
-    scope: TraceScope<'_>,
-) -> Result<RobustRun>
-where
-    Draw: Fn(usize, Option<u64>) -> Result<(String, InferenceCost)> + Sync,
-    D: Fn(&str) -> Result<Vec<Vec<f64>>> + Sync,
-{
     let mut progress = RobustProgress::new(samples, policy)?;
     let mut pending: Vec<(usize, usize)> = (0..samples).map(|i| (i, 0)).collect();
 
@@ -1171,10 +996,10 @@ where
                 let expect = &*expect;
                 s.spawn(move || {
                     let vi = virtual_index(samples, i, attempt);
-                    *slot = Some(execute_attempt_observed(
-                        scope,
+                    *slot = Some(execute_attempt(
                         source,
-                        (i, attempt),
+                        i,
+                        attempt,
                         expect,
                         budget,
                         |b| draw(vi, b),
@@ -1189,20 +1014,7 @@ where
                 break;
             }
             let outcome = outcome.expect("scoped thread filled its slot");
-            record_attempt(scope.obs, scope.req, scope.ctx, i, attempt, &outcome);
             if let AttemptDisposition::Retry { attempt } = progress.apply(i, attempt, outcome) {
-                if scope.obs.enabled() {
-                    scope.obs.record(TraceEvent {
-                        req: scope.req,
-                        ctx: scope.ctx,
-                        kind: EventKind::Retry { sample: i as u32, attempt: attempt as u32 },
-                    });
-                    point_span(
-                        scope.obs,
-                        scope.req,
-                        SpanKind::Retry { sample: i as u32, attempt: attempt as u32 },
-                    );
-                }
                 next.push((i, attempt));
             }
         }

@@ -31,7 +31,6 @@
 
 use std::collections::VecDeque;
 
-use mc_obs::{mix, EventKind, Recorder, SpanEvent, SpanKind, TraceEvent};
 use mc_sync::{Condvar, Mutex};
 
 /// A FIFO task queue with settlement-counted termination, an optional
@@ -195,31 +194,6 @@ impl<T> TaskQueue<T> {
             }
             st = self.cv.wait(st).expect("queue lock");
         }
-    }
-
-    /// [`TaskQueue::next`] with a `queue_wait` trace event per dequeue,
-    /// carrying the clock delta spent inside the blocking call, plus a
-    /// `queue_wait` span whose open half is back-dated to the pre-wait
-    /// stamps (the span id is minted from the pre-wait tick, so a fruitless
-    /// final wait emits nothing and no span is left orphaned). Queue
-    /// waits are scheduler-scoped — they feed metrics and wall-clock
-    /// exports, never the canonical trace. A disabled recorder makes this
-    /// identical to [`TaskQueue::next`].
-    pub fn next_observed(&self, obs: &dyn Recorder) -> Option<T> {
-        if !obs.enabled() {
-            return self.next();
-        }
-        let start = obs.now();
-        let wall_start = obs.wall();
-        let task = self.next();
-        if task.is_some() {
-            let ticks = obs.now().saturating_sub(start);
-            obs.record(TraceEvent { req: 0, ctx: 0, kind: EventKind::QueueWait { ticks } });
-            let id = mix(start, SpanKind::QueueWait.index() as u64);
-            obs.span_at(SpanEvent::open_with_id(id, 0, SpanKind::QueueWait), start, wall_start);
-            obs.span(SpanEvent::close_with_id(id, 0, SpanKind::QueueWait));
-        }
-        task
     }
 }
 

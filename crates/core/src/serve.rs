@@ -28,12 +28,11 @@
 //!   way.
 //! - **A bounded worker pool** fans `(request, sample, attempt)` tasks
 //!   across `workers` threads. Each task forks a throwaway session off the
-//!   request's context and runs the same
-//!   [`execute_attempt`](crate::robust::execute_attempt) the sequential
-//!   engine runs — outcomes depend only on the frozen state and the
-//!   sampler seed, never on scheduling, so forecasts are bit-identical to
-//!   [`crate::engine::ForecastEngine::run`] regardless of worker count or
-//!   submission order.
+//!   request's context and runs the same [`execute_attempt`] the
+//!   sequential engine runs — outcomes depend only on the frozen state
+//!   and the sampler seed, never on scheduling, so forecasts are
+//!   bit-identical to [`crate::engine::ForecastEngine::run`] regardless
+//!   of worker count or submission order.
 //! - **Per-request fault isolation** — every request folds outcomes into
 //!   its own [`RobustProgress`] and resolves through the engine's
 //!   median/quorum/fallback ladder. A panicking or defective sample in one
@@ -69,8 +68,8 @@ use mc_lm::tokenizer::{CharTokenizer, Tokenizer};
 use mc_lm::vocab::Vocab;
 
 use mc_obs::{
-    mix, point_span, EventKind, Fingerprint, NoopRecorder, Recorder, SpanEvent, SpanKind,
-    TraceEvent,
+    mix, point_span, AttemptClass, EventKind, Fingerprint, NoopRecorder, Recorder, SpanEvent,
+    SpanGuard, SpanKind, TraceEvent,
 };
 use mc_sax::encoder::SaxConfig;
 
@@ -79,14 +78,12 @@ use crate::config::ForecastConfig;
 use crate::engine::{spec_family, spec_fingerprint, EngineRun, ForecastEngine, PreparedBackend};
 use crate::mux::MuxMethod;
 use crate::overload::{
-    record_shed, BreakerPolicy, BreakerTransition, CircuitBreaker, OverloadState, Priority,
-    ServeDefect,
+    BreakerPolicy, BreakerTransition, CircuitBreaker, OverloadState, Priority, ServeDefect,
 };
 use crate::pipeline::ContinuationSpec;
 use crate::robust::{
-    execute_attempt_observed, record_attempt, virtual_index, AttemptDisposition, AttemptOutcome,
+    execute_attempt, virtual_index, AttemptDisposition, AttemptOutcome, DefectClass,
     FallbackPolicy, ForecastReport, RobustProgress, SampleDefect, SampleExpectations, SampleSource,
-    TraceScope,
 };
 use crate::sched::TaskQueue;
 
@@ -402,7 +399,9 @@ type Submission = std::result::Result<ForecastRequest, ServeDefect>;
 ///
 /// Quota and shed rejections emit *deterministic* trace events (they
 /// belong to the canonical trace); breaker rejections are
-/// scheduler-scoped, since breaker state depends on flush history.
+/// scheduler-scoped, since breaker state depends on flush history. A
+/// shed also emits a zero-length `shed` span: the shed *set* is a
+/// value-based cut, so that span multiset is schedule-invariant too.
 fn admit(
     submissions: Vec<Submission>,
     config: &ServeConfig,
@@ -467,7 +466,14 @@ fn admit(
             for &(i, _, fp) in &survivors[cap..] {
                 let Admission::Run(request, _) = &slots[i] else { unreachable!() };
                 let priority = request.priority;
-                record_shed(obs, fp, priority);
+                if obs.enabled() {
+                    obs.record(TraceEvent {
+                        req: fp,
+                        ctx: 0,
+                        kind: EventKind::Shed { priority: priority.rank() },
+                    });
+                    point_span(obs, fp, SpanKind::Shed);
+                }
                 slots[i] = Admission::Reject(ServeDefect::Shed { priority });
             }
         }
@@ -493,7 +499,9 @@ type FittedContext = (PreparedBackend, u64, Option<(u64, u64)>);
 /// attached. The `no-direct-fit` lint rule bans the fit entry points
 /// everywhere else in this module, so every serve-path fit is forced
 /// through here — where cache reuse, pinning and metering are handled
-/// uniformly.
+/// uniformly. The cache lookup runs inside a `cache_lookup` span keyed by
+/// the context fingerprint; cache warmth depends on flush history, so
+/// that span is scheduler-scoped (tick-minted id, sidecar export only).
 fn fit_context(
     spec: &ContinuationSpec,
     cache: Option<&LmCache>,
@@ -502,15 +510,19 @@ fn fit_context(
 ) -> Result<FittedContext> {
     let ctx_fp = spec_fingerprint(spec);
     let Some(cache) = cache else {
-        let backend = PreparedBackend::fit_metered_observed(spec, ledger, obs.clone(), ctx_fp)?;
+        let backend = PreparedBackend::fit(spec)?.meter(ledger, obs.clone(), ctx_fp);
         return Ok((backend, ctx_fp, None));
     };
     let family = spec_family(spec);
     let tokens = CharTokenizer::new(spec.vocab.clone())
         .encode(&spec.prompt)
         .map_err(|e| pipeline_error("encode-prompt", e.to_string()))?;
-    let (frozen, epoch, event) = match cache.acquire_observed(family, ctx_fp, &tokens, obs.as_ref())
-    {
+    let found = {
+        let id = mix(obs.now(), SpanKind::CacheLookup.index() as u64);
+        let _lookup = SpanGuard::open_with_id(obs.as_ref(), id, ctx_fp, SpanKind::CacheLookup);
+        cache.acquire(family, ctx_fp, &tokens)
+    };
+    let (frozen, epoch, event) = match found {
         Found::Hit { frozen, epoch } => (frozen, epoch, EventKind::CacheHit),
         Found::Refit { frozen, epoch, appended } => {
             (frozen, epoch, EventKind::CacheRefit { appended: appended as u64, epoch })
@@ -533,11 +545,8 @@ fn fit_context(
                     kind: EventKind::CacheEvict { evictions: evicted },
                 });
             }
-            let backend = PreparedBackend::from_frozen(shared, spec)?.meter_observed(
-                ledger,
-                obs.clone(),
-                ctx_fp,
-            );
+            let backend =
+                PreparedBackend::from_frozen(shared, spec)?.meter(ledger, obs.clone(), ctx_fp);
             return Ok((backend, ctx_fp, Some((family, ctx_fp))));
         }
     };
@@ -555,8 +564,7 @@ fn fit_context(
     if obs.enabled() {
         obs.record(TraceEvent { req: 0, ctx: eff_fp, kind: event });
     }
-    let backend =
-        PreparedBackend::from_frozen(frozen, spec)?.meter_observed(ledger, obs.clone(), eff_fp);
+    let backend = PreparedBackend::from_frozen(frozen, spec)?.meter(ledger, obs.clone(), eff_fp);
     Ok((backend, eff_fp, Some((family, ctx_fp))))
 }
 
@@ -679,6 +687,15 @@ fn prepare(
 /// into the request's progress; pushes the retry task if the sample gets
 /// another attempt, otherwise settles it. Emits the attempt's trace
 /// events (defects, panic isolation, the attempt, any retry).
+///
+/// An `attempt(sample, n)` span covers the whole unit and a nested `draw`
+/// span covers the backend decode inside it. Span ids are pure functions
+/// of the request fingerprint and coordinates, so the span multiset is
+/// schedule-invariant like the attempt events themselves. Both guards
+/// close via `Drop`, which runs during the `catch_unwind` unwind inside
+/// [`execute_attempt`], so a panicking draw still closes its spans. The
+/// `draw` span opens inside the draw closure, after the injected-panic
+/// and zero-budget checks: an attempt that never draws has no `draw`.
 fn run_task(
     task: Task,
     states: &[Prepared],
@@ -695,22 +712,28 @@ fn run_task(
     let vi = virtual_index(st.samples, task.sample, task.attempt);
     let sampler_config = st.request.config.sampler_for(vi);
     let budget = st.progress.lock().expect("request lock").remaining_budget(task.sample);
-    let scope = TraceScope { obs, req: st.fp, ctx: st.ctx_fp };
-    let outcome = execute_attempt_observed(
-        scope,
-        st.request.source,
-        (task.sample, task.attempt),
-        &st.expect,
-        budget,
-        |b| sampler.draw_budgeted(sampler_config, b),
-        |text| st.fitted.decode(text, st.request.horizon),
-    );
+    let (sample, attempt) = (task.sample as u32, task.attempt as u32);
+    let outcome = {
+        let _attempt_span = SpanGuard::open(obs, st.fp, SpanKind::Attempt { sample, attempt });
+        execute_attempt(
+            st.request.source,
+            task.sample,
+            task.attempt,
+            &st.expect,
+            budget,
+            |b| {
+                let _draw_span = SpanGuard::open(obs, st.fp, SpanKind::Draw { sample, attempt });
+                sampler.draw_budgeted(sampler_config, b)
+            },
+            |text| st.fitted.decode(text, st.request.horizon),
+        )
+    };
     if let Some(breaker) = &st.breaker {
         let success = matches!(&outcome, AttemptOutcome::Done { defects, .. }
             if !defects.iter().any(SampleDefect::is_fatal));
         breaker.record(success);
     }
-    record_attempt(obs, st.fp, st.ctx_fp, task.sample, task.attempt, &outcome);
+    record_attempt(obs, st, task, &outcome);
     let disposition =
         st.progress.lock().expect("request lock").apply(task.sample, task.attempt, outcome);
     match disposition {
@@ -754,6 +777,87 @@ fn run_task(
     }
 }
 
+/// Emits the trace events one attempt outcome implies: a `defect` event
+/// per observed defect, `panic_isolated` for caught panics, and the
+/// `attempt` event itself (carrying the attempt's cost; zero for panicked
+/// and infra attempts, which never completed a draw). No-op when `obs` is
+/// disabled.
+fn record_attempt(obs: &dyn Recorder, st: &RequestState, task: Task, outcome: &AttemptOutcome) {
+    if !obs.enabled() {
+        return;
+    }
+    let (req, ctx) = (st.fp, st.ctx_fp);
+    let (sample, attempt) = (task.sample as u32, task.attempt as u32);
+    match outcome {
+        AttemptOutcome::Done { cost, defects, .. } => {
+            for defect in defects {
+                obs.record(TraceEvent {
+                    req,
+                    ctx,
+                    kind: EventKind::Defect {
+                        sample,
+                        attempt,
+                        class: defect.class().index() as u8,
+                        fatal: defect.is_fatal(),
+                    },
+                });
+            }
+            let fatal = defects.iter().any(SampleDefect::is_fatal);
+            obs.record(TraceEvent {
+                req,
+                ctx,
+                kind: EventKind::Attempt {
+                    sample,
+                    attempt,
+                    outcome: if fatal { AttemptClass::Defective } else { AttemptClass::Valid },
+                    defects: defects.len() as u32,
+                    generated_tokens: cost.generated_tokens,
+                    work_units: cost.work_units,
+                },
+            });
+        }
+        AttemptOutcome::Infra(_) => {
+            obs.record(TraceEvent {
+                req,
+                ctx,
+                kind: EventKind::Attempt {
+                    sample,
+                    attempt,
+                    outcome: AttemptClass::Infra,
+                    defects: 0,
+                    generated_tokens: 0,
+                    work_units: 0,
+                },
+            });
+        }
+        AttemptOutcome::Panicked(_) => {
+            obs.record(TraceEvent {
+                req,
+                ctx,
+                kind: EventKind::Defect {
+                    sample,
+                    attempt,
+                    class: DefectClass::Panicked.index() as u8,
+                    fatal: true,
+                },
+            });
+            obs.record(TraceEvent { req, ctx, kind: EventKind::PanicIsolated { sample, attempt } });
+            obs.record(TraceEvent {
+                req,
+                ctx,
+                kind: EventKind::Attempt {
+                    sample,
+                    attempt,
+                    outcome: AttemptClass::Panicked,
+                    defects: 1,
+                    generated_tokens: 0,
+                    work_units: 0,
+                },
+            });
+        }
+    }
+}
+
 fn run_batch(
     submissions: Vec<Submission>,
     config: &ServeConfig,
@@ -785,10 +889,29 @@ fn run_batch(
                 let states = &states[..];
                 let contexts = &contexts[..];
                 let obs = obs.as_ref();
-                scope.spawn(move || {
-                    while let Some(task) = queue.next_observed(obs) {
-                        run_task(task, states, contexts, queue, obs);
+                scope.spawn(move || loop {
+                    // A `queue_wait` event and span per dequeue, carrying
+                    // the clock delta spent blocked. The span id is
+                    // minted from the pre-wait tick and its open is
+                    // back-dated to the pre-wait stamps, so the fruitless
+                    // final wait emits nothing and leaves no orphan.
+                    // Queue waits are scheduler-scoped: metrics and
+                    // wall-clock exports only, never the canonical trace.
+                    let (start, wall_start) = (obs.now(), obs.wall());
+                    let Some(task) = queue.next() else { break };
+                    if obs.enabled() {
+                        let ticks = obs.now().saturating_sub(start);
+                        obs.record(TraceEvent {
+                            req: 0,
+                            ctx: 0,
+                            kind: EventKind::QueueWait { ticks },
+                        });
+                        let id = mix(start, SpanKind::QueueWait.index() as u64);
+                        let open = SpanEvent::open_with_id(id, 0, SpanKind::QueueWait);
+                        obs.span_at(open, start, wall_start);
+                        obs.span(SpanEvent::close_with_id(id, 0, SpanKind::QueueWait));
                     }
+                    run_task(task, states, contexts, queue, obs);
                 });
             }
         });

@@ -33,7 +33,6 @@
 
 use crate::model::FrozenLm;
 use crate::vocab::TokenId;
-use mc_obs::{mix, Recorder, SpanEvent, SpanKind};
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::{Arc, Mutex};
 
@@ -250,27 +249,6 @@ impl LmCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         Found::Miss
-    }
-
-    /// [`LmCache::acquire`] wrapped in a `cache_lookup` span keyed by the
-    /// context fingerprint. Cache warmth depends on flush history, so the
-    /// span is scheduler-scoped (tick-minted id, sidecar export only); a
-    /// disabled recorder makes this identical to `acquire`.
-    pub fn acquire_observed(
-        &self,
-        family: u64,
-        fingerprint: u64,
-        prompt: &[TokenId],
-        obs: &dyn Recorder,
-    ) -> Found {
-        if !obs.enabled() {
-            return self.acquire(family, fingerprint, prompt);
-        }
-        let id = mix(obs.now(), SpanKind::CacheLookup.index() as u64);
-        obs.span(SpanEvent::open_with_id(id, fingerprint, SpanKind::CacheLookup));
-        let found = self.acquire(family, fingerprint, prompt);
-        obs.span(SpanEvent::close_with_id(id, fingerprint, SpanKind::CacheLookup));
-        found
     }
 
     /// Inserts a freshly fitted context and pins it.

@@ -16,7 +16,7 @@
 use mc_sync::atomic::{AtomicU64, Ordering};
 use mc_sync::Arc;
 
-use mc_obs::{mix, EventKind, NoopRecorder, Recorder, SpanEvent, SpanKind, TraceEvent};
+use mc_obs::{mix, EventKind, Recorder, SpanEvent, SpanKind, TraceEvent};
 
 use crate::cost::InferenceCost;
 use crate::model::{DecodeSession, FrozenLm};
@@ -84,16 +84,12 @@ pub struct MeteredLm {
 
 impl MeteredLm {
     /// Wraps `inner`, immediately recording its prompt cost into `ledger`.
-    pub fn new(inner: Arc<dyn FrozenLm>, ledger: Arc<CostLedger>) -> Self {
-        Self::observed(inner, ledger, Arc::new(NoopRecorder), 0)
-    }
-
-    /// Like [`MeteredLm::new`], but every completed session additionally
-    /// emits a `session_cost` trace event tagged with the `ctx` context
-    /// fingerprint. Session-drop order is scheduler-dependent, so these
-    /// events feed metrics and wall-clock exports, never the canonical
-    /// trace.
-    pub fn observed(
+    /// Every forked session emits a `session` span into `recorder`, and
+    /// on completion a `session_cost` trace event, both tagged with the
+    /// `ctx` context fingerprint. Session-drop order is
+    /// scheduler-dependent, so these feed metrics and wall-clock exports,
+    /// never the canonical trace; pass `NoopRecorder` to meter silently.
+    pub fn new(
         inner: Arc<dyn FrozenLm>,
         ledger: Arc<CostLedger>,
         recorder: Arc<dyn Recorder>,
@@ -196,6 +192,7 @@ mod tests {
     use super::*;
     use crate::presets::{fit_model, ModelPreset};
     use crate::vocab::Vocab;
+    use mc_obs::NoopRecorder;
 
     fn frozen() -> Arc<dyn FrozenLm> {
         let vocab = Vocab::numeric();
@@ -207,7 +204,7 @@ mod tests {
     fn wrapping_records_prompt_once() {
         let inner = frozen();
         let ledger = Arc::new(CostLedger::new());
-        let metered = MeteredLm::new(inner.clone(), ledger.clone());
+        let metered = MeteredLm::new(inner.clone(), ledger.clone(), Arc::new(NoopRecorder), 0);
         assert_eq!(ledger.snapshot().prompt_tokens, inner.prompt_cost().prompt_tokens);
         assert_eq!(metered.prompt_cost(), inner.prompt_cost());
         assert_eq!(ledger.sessions(), 0);
@@ -217,7 +214,7 @@ mod tests {
     fn sessions_record_on_drop_and_decode_identically() {
         let inner = frozen();
         let ledger = Arc::new(CostLedger::new());
-        let metered = MeteredLm::new(inner.clone(), ledger.clone());
+        let metered = MeteredLm::new(inner.clone(), ledger.clone(), Arc::new(NoopRecorder), 0);
         let before = ledger.snapshot();
         let mut plain = inner.fork();
         let mut wrapped = metered.fork();

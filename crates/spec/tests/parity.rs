@@ -43,26 +43,65 @@ fn backtest_runner_matches_checked_in_artifact() {
     fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn serve_chaos_runner_matches_checked_in_artifact() {
-    let dir = scratch("serve-chaos-md");
+/// Runs `kind` at full fidelity and asserts its markdown report and BENCH
+/// file match `results/<name>.md` and `results/BENCH_<name>.json` byte
+/// for byte.
+fn assert_report_and_bench_match(kind: ScenarioKind, name: &str) {
+    let dir = scratch(name);
     let opts = RunOptions {
         results_dir: dir.clone(),
         bench_dir: Some(dir.clone()),
         ..RunOptions::default()
     };
-    let summary = Runner::new(opts).run_kind(ScenarioKind::ServeChaos).expect("chaos runs");
-    let fresh = fs::read_to_string(dir.join("serve_chaos.md")).expect("fresh artifact");
+    let summary = Runner::new(opts).run_kind(kind).expect("scenario runs");
+    let fresh = fs::read_to_string(dir.join(format!("{name}.md"))).expect("fresh artifact");
     assert_eq!(
         fresh,
-        committed("results/serve_chaos.md"),
-        "runner output diverged from the checked-in results/serve_chaos.md"
+        committed(&format!("results/{name}.md")),
+        "runner output diverged from the checked-in results/{name}.md"
     );
-    let bench = summary.bench.expect("chaos emits a BENCH report");
+    let bench = summary.bench.expect("scenario emits a BENCH report");
     assert_eq!(
         bench.to_pretty(),
-        committed("results/BENCH_serve_chaos.json"),
-        "BENCH report diverged from the checked-in results/BENCH_serve_chaos.json"
+        committed(&format!("results/BENCH_{name}.json")),
+        "BENCH report diverged from the checked-in results/BENCH_{name}.json"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_chaos_runner_matches_checked_in_artifact() {
+    assert_report_and_bench_match(ScenarioKind::ServeChaos, "serve_chaos");
+}
+
+/// The latency audit's report and BENCH file are built from canonical
+/// span ticks, and every recorder call advances the logical clock, so
+/// they pin the order of span and event emission on the serve path: a
+/// reordered recorder call moves a tick and shows up here.
+#[test]
+fn latency_audit_runner_matches_checked_in_artifacts() {
+    assert_report_and_bench_match(ScenarioKind::LatencyAudit, "latency_audit");
+}
+
+/// The telemetry scenario's canonical JSONL trace is stamped on the
+/// logical clock, so it pins which events the serve path emits and in
+/// what order. (Its markdown report carries wall-clock timings and is
+/// deliberately not compared.)
+#[test]
+fn telemetry_trace_matches_checked_in_artifact() {
+    let dir = scratch("telemetry-trace");
+    let trace = dir.join("serving_trace.jsonl");
+    let opts = RunOptions {
+        results_dir: dir.clone(),
+        trace_path: Some(trace.clone()),
+        ..RunOptions::default()
+    };
+    Runner::new(opts).run_kind(ScenarioKind::Telemetry).expect("telemetry runs");
+    let fresh = fs::read_to_string(&trace).expect("fresh trace");
+    assert_eq!(
+        fresh,
+        committed("results/serving_trace.jsonl"),
+        "canonical trace diverged from the checked-in results/serving_trace.jsonl"
     );
     fs::remove_dir_all(&dir).ok();
 }

@@ -22,8 +22,7 @@ const SERVE_LAND: [&str; 3] =
 /// The banned direct-fit entry points (plus `PreparedBackend::fit`,
 /// matched as a qualified path). Bare `fit` is deliberately not banned:
 /// codec fits (`codec.fit(..)`) are a different, uncached contract.
-const BANNED_FITS: [&str; 5] =
-    ["fit_metered_observed", "fit_metered", "from_frozen", "meter_observed", "fit_model"];
+const BANNED_FITS: [&str; 3] = ["from_frozen", "meter", "fit_model"];
 
 /// Token ranges of every non-test `fn fit_context` body in the file,
 /// plus the name span of each definition (for the multi-seam check).
@@ -198,7 +197,7 @@ mod tests {
             "crates/core/src/serve.rs".to_string(),
             "fn fit_context(s: &Spec) -> Prepared {\n\
                  let b = PreparedBackend::fit(s);\n\
-                 b.meter_observed(1)\n\
+                 b.meter(1)\n\
              }\n\
              fn sidestep(s: &Spec) -> Prepared {\n\
                  let b = PreparedBackend::fit(s);\n\
@@ -217,11 +216,11 @@ mod tests {
         let ws = Workspace::from_sources(vec![
             (
                 "crates/core/src/serve.rs".to_string(),
-                "fn fit_context(s: &Spec) -> P { fit_metered(s) }".to_string(),
+                "fn fit_context(s: &Spec) -> P { fit_model(s) }".to_string(),
             ),
             (
                 "crates/core/src/sched.rs".to_string(),
-                "fn fit_context(s: &Spec) -> P { fit_metered(s) }".to_string(),
+                "fn fit_context(s: &Spec) -> P { fit_model(s) }".to_string(),
             ),
         ]);
         let findings = no_direct_fit(&ws);

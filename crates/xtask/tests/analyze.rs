@@ -231,9 +231,10 @@ fn direct_fit_fixture_flags_every_sidestep_of_the_seam() {
         got,
         vec![
             (8, col(DIRECT_FIT, 8, "PreparedBackend"), "PreparedBackend::fit"),
-            (9, col(DIRECT_FIT, 9, "fit_metered_observed"), "fit_metered_observed"),
+            (9, col(DIRECT_FIT, 9, "PreparedBackend"), "PreparedBackend::fit"),
+            (9, col(DIRECT_FIT, 9, "meter("), "meter"),
             (10, col(DIRECT_FIT, 10, "from_frozen"), "from_frozen"),
-            (10, col(DIRECT_FIT, 10, "meter_observed"), "meter_observed"),
+            (10, col(DIRECT_FIT, 10, "meter("), "meter"),
             (11, col(DIRECT_FIT, 11, "fit_model"), "fit_model"),
         ],
         "{findings:?}"

@@ -2,15 +2,15 @@
 // contexts through the raw PreparedBackend entry points instead of the
 // one sanctioned fit_context seam (which consults the cross-batch cache
 // and meters costs uniformly). Linted under the crates/core/src/serve.rs
-// path by tests/fixtures.rs; never compiled.
+// path by tests/analyze.rs; never compiled.
 
 fn sidestep(spec: &ContinuationSpec, ledger: Arc<CostLedger>) -> Result<PreparedBackend> {
     let cold = PreparedBackend::fit(spec)?;
-    let metered = PreparedBackend::fit_metered_observed(spec, ledger, obs, 7)?;
-    let warm = PreparedBackend::from_frozen(frozen, spec)?.meter_observed(ledger, obs, 7);
+    let fresh = PreparedBackend::fit(spec)?.meter(ledger, obs, 7);
+    let warm = PreparedBackend::from_frozen(frozen, spec)?.meter(ledger, obs, 7);
     let _raw = fit_model(spec.preset, spec.vocab.len(), &tokens);
     let _codec_fit_is_fine = codec.fit(&train);
-    Ok(cold.or(metered).or(warm))
+    Ok(cold.or(fresh).or(warm))
 }
 
 #[cfg(test)]

@@ -375,7 +375,7 @@ fn canonical_trace_is_byte_identical_across_schedules() {
 /// Tentpole acceptance: the canonical *span* export — like the event
 /// trace above — is byte-identical across worker counts and submission
 /// orders, and every span half pairs cleanly (no orphaned opens, no
-/// double closes), rigged faults and a panicking draw included.
+/// double closes), rigged faults and a panicking attempt included.
 #[test]
 fn canonical_span_export_is_byte_identical_across_schedules() {
     use mc_obs::pair_spans;
@@ -393,7 +393,9 @@ fn canonical_span_export_is_byte_identical_across_schedules() {
         assert!(!line.contains("\"wall\""), "canonical spans must not leak wall stamps: {line}");
     }
     // Every span half pairs: no orphaned open, no double close — even
-    // with request 19's rigged panic unwinding through a draw.
+    // with request 19's rigged panic. That panic fires before the `draw`
+    // span opens, so what it shows is the `attempt` span closing while
+    // panic isolation unwinds.
     let paired = pair_spans(&spans).expect("1-worker span stream pairs cleanly");
     assert_eq!(paired.len() * 2, spans.len(), "every half belongs to exactly one pair");
     // The whole serve-path vocabulary shows up in one stress batch.
