@@ -1,4 +1,4 @@
-//! Adam optimizer (Kingma & Ba 2014 — the paper's ref [35]).
+//! Adam optimizer (Kingma & Ba 2014 — the paper's ref \[35\]).
 //!
 //! One [`Adam`] instance owns first/second-moment buffers for a fixed set
 //! of parameter tensors, addressed positionally; callers pass the same

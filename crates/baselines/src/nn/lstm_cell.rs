@@ -1,4 +1,4 @@
-//! The LSTM cell (Hochreiter & Schmidhuber 1997 — the paper's ref [32])
+//! The LSTM cell (Hochreiter & Schmidhuber 1997 — the paper's ref \[32\])
 //! with full backpropagation-through-time support.
 //!
 //! Gate layout in the stacked weight matrices is `[input, forget, cell,

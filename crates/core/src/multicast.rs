@@ -1,7 +1,7 @@
 //! The MultiCast forecaster: multiplex → prompt → sample → demultiplex.
 //!
 //! This is the paper's method proper. The multivariate history is rescaled
-//! per dimension ([`FixedDigitScaler`]), folded into one token stream by
+//! per dimension ([`FixedDigitScaler`](crate::FixedDigitScaler)), folded into one token stream by
 //! the chosen multiplexing scheme, and the LLM backend continues it under
 //! the digit/comma output constraint. Each of the `S` continuations is
 //! demultiplexed and descaled independently; the reported forecast is the

@@ -441,20 +441,27 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// Parses the `key=value,...` form. Unknown keys and malformed
-    /// values are errors — a chaos drill with a silently-dropped knob
-    /// tests the wrong thing.
+    /// Parses the `key=value,...` form. Unknown keys, repeated keys and
+    /// malformed values are errors — a chaos drill with a silently-dropped
+    /// knob tests the wrong thing.
     ///
     /// # Errors
-    /// On unknown keys, malformed numbers, or a rate outside `[0, 1]`.
+    /// On unknown or repeated keys, malformed numbers, or a rate outside
+    /// `[0, 1]`.
     pub fn parse(text: &str) -> Result<Self> {
         let mut profile = FaultProfile::default();
+        let mut seen = Vec::new();
         for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| invalid_param("faults", format!("`{part}` is not key=value")))?;
+            let key = key.trim();
+            if seen.contains(&key) {
+                return Err(invalid_param("faults", format!("duplicate fault key `{key}`")));
+            }
+            seen.push(key);
             let bad = |what: &str| invalid_param("faults", format!("`{value}` is not a {what}"));
-            match key.trim() {
+            match key {
                 "rate" => {
                     let rate: f64 = value.parse().map_err(|_| bad("number"))?;
                     if !(0.0..=1.0).contains(&rate) {
@@ -1054,6 +1061,7 @@ mod tests {
     use super::*;
     use mc_lm::presets::ModelPreset;
     use mc_lm::vocab::Vocab;
+    use proptest::prelude::*;
 
     fn numeric_expect(
         separators: usize,
@@ -1569,6 +1577,88 @@ mod tests {
         assert!(FaultProfile::parse("bogus=1").is_err(), "unknown keys rejected");
         assert!(FaultProfile::parse("rate").is_err(), "bare keys rejected");
         assert!(FaultProfile::parse("seed=x").is_err(), "malformed numbers rejected");
+        assert!(FaultProfile::parse("rate=0.1,rate=0.9").is_err(), "repeated keys rejected");
+    }
+
+    /// Keys and values, valid and not, that generated `key=value` lists
+    /// draw from, so a good share of them parse and exercise the round
+    /// trip.
+    const PROFILE_KEYS: [&str; 6] = ["rate", "seed", "panic", "latency", "quota", "bogus"];
+    const PROFILE_VALUES: [&str; 9] =
+        ["0", "1", "0.25", "7", "-1", "1e3", "18446744073709551616", "", " x"];
+
+    fn assert_display_round_trips(text: &str) -> std::result::Result<(), TestCaseError> {
+        if let Ok(p) = FaultProfile::parse(text) {
+            prop_assert_eq!(FaultProfile::parse(&p.to_string()).ok(), Some(p), "from {text:?}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Untrusted profile text parses or errors, never panics, and a
+        /// profile that parses reprints to text that parses back to it.
+        #[test]
+        fn fault_profile_parse_is_total_and_display_stable(
+            printable in "[ -~]{0,48}",
+            entries in prop::collection::vec(
+                (0usize..PROFILE_KEYS.len(), 0usize..PROFILE_VALUES.len()),
+                0..6,
+            ),
+        ) {
+            assert_display_round_trips(&printable)?;
+            let list: Vec<String> = entries
+                .iter()
+                .map(|&(k, v)| format!("{}={}", PROFILE_KEYS[k], PROFILE_VALUES[v]))
+                .collect();
+            assert_display_round_trips(&list.join(","))?;
+        }
+
+        /// Every valid profile round-trips through its `Display` form.
+        #[test]
+        fn every_valid_fault_profile_round_trips(
+            rate in 0.0f64..1.0,
+            full_rate in any::<bool>(),
+            seed in any::<u64>(),
+            panic_sample in (any::<bool>(), 0usize..64),
+            latency_tokens in any::<u64>(),
+            quota_tokens in (any::<bool>(), any::<u64>()),
+        ) {
+            let p = FaultProfile {
+                rate: if full_rate { 1.0 } else { rate },
+                seed,
+                panic_sample: panic_sample.0.then_some(panic_sample.1),
+                latency_tokens,
+                quota_tokens: quota_tokens.0.then_some(quota_tokens.1),
+            };
+            prop_assert_eq!(FaultProfile::parse(&p.to_string()).ok(), Some(p));
+        }
+
+        /// Repeating any key is an error — never a silent last-one-wins —
+        /// wherever the repeat sits and whatever value it carries.
+        #[test]
+        fn repeating_any_fault_key_is_an_error(
+            mask in 0u32..32,
+            repeated in 0usize..5,
+            at in 0usize..6,
+            values in (0u64..1001, any::<u64>(), 0usize..64, any::<u64>(), any::<u64>()),
+        ) {
+            let pairs = [
+                format!("rate={}", values.0 as f64 / 1000.0),
+                format!("seed={}", values.1),
+                format!("panic={}", values.2),
+                format!("latency={}", values.3),
+                format!("quota={}", values.4),
+            ];
+            let mut parts: Vec<&str> = (0..5)
+                .filter(|&k| k == repeated || mask & (1 << k) != 0)
+                .map(|k| pairs[k].as_str())
+                .collect();
+            prop_assert!(FaultProfile::parse(&parts.join(",")).is_ok());
+            parts.insert(at.min(parts.len()), pairs[repeated].as_str());
+            prop_assert!(FaultProfile::parse(&parts.join(",")).is_err(), "{:?}", parts);
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! The queue is built on the [`mc_sync`] shim, so an ordinary build uses
 //! `std::sync` while the loom build swaps in model-checked primitives.
 //! This file is the **only** sanctioned construction site of a raw
-//! `VecDeque` work queue in the workspace — `xtask lint`'s
+//! `VecDeque` work queue in the workspace — `xtask analyze`'s
 //! `no-unbounded-queue` rule (allowlisted here) pushes every other queue
 //! through this bounded, settlement-counted type.
 

@@ -24,7 +24,7 @@
 //!   can never change a forecast). Served contexts stay pinned until the
 //!   flush boundary, so eviction can never free a context a live decode
 //!   session is forked from. All fits route through the single
-//!   [`fit_context`] seam — the `no-direct-fit` lint rule keeps it that
+//!   `fit_context` seam — the `no-direct-fit` rule keeps it that
 //!   way.
 //! - **A bounded worker pool** fans `(request, sample, attempt)` tasks
 //!   across `workers` threads. Each task forks a throwaway session off the

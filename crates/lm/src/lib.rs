@@ -13,7 +13,7 @@
 //!    exactly like zero-shot prompting (no training phase, no labels);
 //! 3. a constrained, temperature-controlled [`sampler`] reproducing the
 //!    paper's restriction of the output alphabet to digits and commas;
-//! 4. autoregressive [`generate`] with per-token cost accounting, so the
+//! 4. autoregressive [`generate`](mod@generate) with per-token cost accounting, so the
 //!    wall-clock/token-budget experiments (Tables VII–IX) are meaningful.
 //!
 //! Two model families are provided: [`NGramLm`] (interpolated back-off

@@ -8,29 +8,28 @@
 //!
 //! Four pieces:
 //!
-//! - **[`Clock`](clock::Clock)** — timestamps come from a pluggable
-//!   clock. [`LogicalClock`](clock::LogicalClock) (the default in tests)
-//!   hands out deterministic ticks; [`WallClock`](clock::WallClock) reads
-//!   real elapsed nanoseconds and is the *only* sanctioned `Instant::now`
-//!   outside the bench harness (a justified `mc-lint.allow` entry keeps
-//!   the `no-wallclock` invariant alive).
-//! - **[`TraceEvent`](event::TraceEvent)** — a `Copy`, allocation-free
-//!   record of one serve-path happening (`queue_wait`, `context_fit`,
-//!   `attempt`, `retry`, `quorum_resolve`, `fallback`,
-//!   `panic_isolated`, ...). Events carry numeric payloads only, so
-//!   building one for a disabled recorder costs nothing.
-//! - **[`MetricsRegistry`](metrics::MetricsRegistry)** — atomic counters
-//!   and fixed-bucket histograms, routed through [`mc_sync`]'s atomics so
-//!   the registry is loom-checkable exactly like `mc-lm`'s `CostLedger`.
-//! - **[`Recorder`](record::Recorder) / [`Observer`](record::Observer)**
-//!   — the sink. [`NoopRecorder`](record::NoopRecorder) is the default
-//!   and keeps the hot path free of buffering; [`Observer`] stamps every
-//!   event with its clock, folds it into a registry, and exports JSONL
-//!   traces ([`export`]) plus a metrics snapshot.
+//! - **[`Clock`]** — timestamps come from a pluggable clock.
+//!   [`LogicalClock`] (the default in tests) hands out deterministic
+//!   ticks; [`WallClock`] reads real elapsed nanoseconds and is the
+//!   *only* sanctioned `Instant::now` outside the bench harness (a
+//!   justified `mc-lint.allow` entry keeps the `no-wallclock` invariant
+//!   alive).
+//! - **[`TraceEvent`]** — a `Copy`, allocation-free record of one
+//!   serve-path happening (`queue_wait`, `context_fit`, `attempt`,
+//!   `retry`, `quorum_resolve`, `fallback`, `panic_isolated`, ...).
+//!   Events carry numeric payloads only, so building one for a disabled
+//!   recorder costs nothing.
+//! - **[`MetricsRegistry`]** — atomic counters and fixed-bucket
+//!   histograms, routed through [`mc_sync`]'s atomics so the registry is
+//!   loom-checkable exactly like `mc-lm`'s `CostLedger`.
+//! - **[`Recorder`] / [`Observer`]** — the sink. [`NoopRecorder`] is the
+//!   default and keeps the hot path free of buffering; [`Observer`]
+//!   stamps every event with its clock, folds it into a registry, and
+//!   exports JSONL traces ([`export`]) plus a metrics snapshot.
 //!
 //! ## Determinism contract
 //!
-//! With identical seeds and a [`LogicalClock`](clock::LogicalClock), the
+//! With identical seeds and a [`LogicalClock`], the
 //! canonical JSONL export is **byte-identical across worker counts and
 //! submission orders**, matching the serve layer's bit-identical-forecast
 //! guarantee. Two mechanisms make that hold:
@@ -48,7 +47,7 @@
 //! ## Spans
 //!
 //! On top of the flat event stream, [`span`] adds causal *intervals*:
-//! parent-linked [`SpanEvent`](span::SpanEvent) open/close pairs
+//! parent-linked [`SpanEvent`] open/close pairs
 //! (request → context_fit / attempt → draw / retry / backoff / quorum /
 //! fallback, plus scheduler-scoped queue_wait / cache_lookup / session
 //! lanes) with the same two determinism classes as events and

@@ -3,7 +3,7 @@
 //! Where a [`TraceEvent`](crate::event::TraceEvent) records that
 //! something *happened*, a [`SpanEvent`] records that something *took
 //! time*: every span opens once and closes once, carries a stable
-//! [`SpanId`]-style identifier plus its parent's, and the pair of
+//! identifier ([`span_id`]) plus its parent's, and the pair of
 //! (open, close) stamps bounds the interval. The vocabulary mirrors the
 //! pipeline's causal structure:
 //!
@@ -191,7 +191,7 @@ impl SpanKind {
     }
 
     /// Fixed slot in the per-kind metrics table
-    /// ([`crate::metrics::MetricsRegistry::span_opens`]).
+    /// ([`crate::metrics::MetricsRegistry::span_open_count`]).
     pub fn index(&self) -> usize {
         match self {
             SpanKind::Request => 0,

@@ -1,5 +1,5 @@
 //! iSAX: indexable SAX words with per-symbol cardinality
-//! (Shieh & Keogh 2008 — the paper's ref [29], its source for SAX).
+//! (Shieh & Keogh 2008 — the paper's ref \[29\], its source for SAX).
 //!
 //! An iSAX symbol is a cell index at a power-of-two cardinality; symbols in
 //! one word may carry *different* cardinalities, which is what makes iSAX

@@ -3,7 +3,7 @@
 //! Full from-scratch implementation of the quantization stack MultiCast
 //! uses to cut token counts (paper §III-B):
 //!
-//! - [`paa`] — Piecewise Aggregate Approximation: x-axis compression by
+//! - [`paa`](mod@paa) — Piecewise Aggregate Approximation: x-axis compression by
 //!   segment averaging, with exact reconstruction-by-expansion;
 //! - [`gaussian`] — N(0,1) quantile breakpoints (equiprobable cells) via a
 //!   high-precision inverse normal CDF, plus per-cell representative

@@ -1,5 +1,5 @@
 //! Piecewise Aggregate Approximation (Keogh et al., 2001; Yi & Faloutsos,
-//! 2000 — the paper's refs [30], [31]).
+//! 2000 — the paper's refs \[30\], \[31\]).
 //!
 //! PAA compresses a series on the x-axis by replacing each block of
 //! `segment_len` consecutive values with their mean. The paper's "SAX

@@ -3,7 +3,7 @@
 //!
 //! [`Runner`] takes a parsed [`ScenarioSpec`], lowers it
 //! ([`Lowered::lower`]) and dispatches on [`ScenarioKind`]. Scenarios
-//! that only drive forecaster traits live in [`scenarios`](crate::scenarios);
+//! that only drive forecaster traits live in [`scenarios`];
 //! the ones that exercise the engine split or the serve scheduler
 //! (prompt reuse, concurrent serving, telemetry, serve chaos, cache
 //! reuse) are implemented here, because the `no-adhoc-bench` lint forbids every

@@ -1,8 +1,9 @@
-//! End-to-end parity: the scenario runner reproduces the checked-in
-//! `results/` artifacts the pre-refactor bins produced, byte for byte,
-//! and the chaos BENCH report is schedule-independent — identical at 1,
-//! 2 and 8 workers and across repeats, because every metric derives from
-//! the logical clock, never the scheduler.
+//! End-to-end parity: the scenario runner reproduces every deterministic
+//! artifact checked in under `results/` (reports, BENCH files and the
+//! canonical trace) byte for byte, and the chaos BENCH report is
+//! schedule-independent — identical at 1, 2 and 8 workers and across
+//! repeats, because every metric derives from the logical clock, never
+//! the scheduler.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -40,6 +41,11 @@ fn backtest_runner_matches_checked_in_artifact() {
         committed("results/backtest.md"),
         "runner output diverged from the checked-in results/backtest.md"
     );
+    assert_eq!(
+        summary.bench.expect("backtest emits a BENCH report").to_pretty(),
+        committed("results/BENCH_backtest.json"),
+        "BENCH report diverged from the checked-in results/BENCH_backtest.json"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -72,6 +78,27 @@ fn assert_report_and_bench_match(kind: ScenarioKind, name: &str) {
 #[test]
 fn serve_chaos_runner_matches_checked_in_artifact() {
     assert_report_and_bench_match(ScenarioKind::ServeChaos, "serve_chaos");
+}
+
+#[test]
+fn fault_injection_runner_matches_checked_in_artifacts() {
+    assert_report_and_bench_match(ScenarioKind::FaultInjection, "fault_injection");
+}
+
+/// At full fidelity the cache study's BENCH file matches the committed
+/// baseline. (Its markdown report carries wall-clock timings and is
+/// deliberately not compared.)
+#[test]
+fn cache_reuse_bench_matches_checked_in_artifact() {
+    let dir = scratch("cache-reuse");
+    let opts = RunOptions { results_dir: dir.clone(), ..RunOptions::default() };
+    let summary = Runner::new(opts).run_kind(ScenarioKind::CacheReuse).expect("cache reuse runs");
+    assert_eq!(
+        summary.bench.expect("cache reuse emits a BENCH report").to_pretty(),
+        committed("results/BENCH_cache_reuse.json"),
+        "BENCH report diverged from the checked-in results/BENCH_cache_reuse.json"
+    );
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// The latency audit's report and BENCH file are built from canonical
@@ -176,7 +203,8 @@ fn cache_reuse_bench_is_schedule_independent() {
 }
 
 /// The tokenization study's BENCH report is deterministic across repeats
-/// (it has no serve path at all — pure single-threaded decode).
+/// (it has no serve path at all — pure single-threaded decode), and its
+/// report and BENCH file match the checked-in artifacts.
 #[test]
 fn tokenization_bench_is_deterministic_across_repeats() {
     let mut renders: Vec<String> = Vec::new();
@@ -190,6 +218,11 @@ fn tokenization_bench_is_deterministic_across_repeats() {
         let summary =
             Runner::new(opts).run_kind(ScenarioKind::Tokenization).expect("tokenization runs");
         renders.push(summary.bench.expect("BENCH report").to_pretty());
+        assert_eq!(
+            fs::read_to_string(dir.join("ablation_tokenization.md")).expect("fresh artifact"),
+            committed("results/ablation_tokenization.md"),
+            "runner output diverged from the checked-in results/ablation_tokenization.md"
+        );
         fs::remove_dir_all(&dir).ok();
     }
     assert_eq!(renders[0], renders[1]);

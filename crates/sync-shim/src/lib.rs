@@ -8,7 +8,7 @@
 //! explored by the bounded-exhaustive checker.
 //!
 //! Direct `std::sync::{Mutex, Condvar}` use outside this crate is a
-//! workspace invariant enforced by `cargo xtask lint` — new code that
+//! workspace invariant enforced by `cargo xtask analyze` — new code that
 //! bypasses the shim is invisible to the model checker and fails CI.
 
 /// `Mutex`/`Condvar`/`Arc` — `std::sync` or model-checked equivalents.

@@ -1,11 +1,8 @@
-//! The mc-lint / mc-analyze allowlist: explicit, justified suppressions.
+//! The mc-analyze allowlist: explicit, justified suppressions.
 //!
-//! Both checkers are deny-by-default; the only way to keep a finding is
-//! an entry here, and every entry must carry a written justification.
-//! The committed allowlist lives at the workspace root
-//! (`mc-lint.allow`) and is shared: lint rules and analyze rules use
-//! the same grammar and the same file, each run applying only the
-//! entries whose rule is in its own scope.
+//! The checker is deny-by-default; the only way to keep a finding is an
+//! entry here, and every entry must carry a written justification. The
+//! committed allowlist lives at the workspace root (`mc-lint.allow`).
 //!
 //! Format, one entry per line (blank lines and `#` comments ignored):
 //!
@@ -13,44 +10,22 @@
 //! <rule> <path-prefix> <symbol|*> -- <justification>
 //! ```
 //!
-//! - `rule`: a rule name from [`crate::lints::RULE_NAMES`] or
-//!   [`crate::analyze::RULE_NAMES`].
-//! - `path-prefix`: workspace-relative; the entry covers every linted
+//! - `rule`: a rule name from [`crate::analyze::RULE_NAMES`].
+//! - `path-prefix`: workspace-relative; the entry covers every checked
 //!   file under it (a file path covers exactly that file).
 //! - `symbol`: the matched symbol (`expect`, `Instant::now`, ...) or `*`.
 //! - The justification is mandatory — an entry without `--` text is a
-//!   parse error, and an in-scope entry that suppresses nothing is
-//!   itself an error, so the allowlist can only shrink stale.
+//!   parse error, and an entry that suppresses nothing is itself an
+//!   error, so the allowlist can only shrink stale.
 //!   By convention the justification ends with `-- since PR<n>`
 //!   provenance (the first `--` still delimits the justification).
 
-/// Anything the allowlist can suppress: lint violations and analyze
-/// findings both expose the three matched dimensions.
-pub trait Suppressible {
-    /// The rule name, as written in allowlist entries.
-    fn rule_name(&self) -> &str;
-    /// Workspace-relative path of the finding.
-    fn path(&self) -> &str;
-    /// The matched symbol.
-    fn symbol(&self) -> &str;
-}
-
-impl Suppressible for crate::lints::Violation {
-    fn rule_name(&self) -> &str {
-        self.rule.name()
-    }
-    fn path(&self) -> &str {
-        &self.path
-    }
-    fn symbol(&self) -> &str {
-        &self.symbol
-    }
-}
+use crate::analyze::{Finding, RULE_NAMES};
 
 /// One parsed allowlist line.
 #[derive(Debug, Clone)]
 pub struct Entry {
-    /// Rule name, validated against the known-rule set at parse time.
+    /// Rule name, validated against [`RULE_NAMES`] at parse time.
     pub rule: String,
     pub path_prefix: String,
     /// Symbol to match, or `None` for `*`.
@@ -61,10 +36,10 @@ pub struct Entry {
 }
 
 impl Entry {
-    fn covers<T: Suppressible>(&self, v: &T) -> bool {
-        self.rule == v.rule_name()
-            && v.path().starts_with(&self.path_prefix)
-            && self.symbol.as_ref().is_none_or(|s| *s == v.symbol())
+    fn covers(&self, f: &Finding) -> bool {
+        self.rule == f.rule
+            && f.path.starts_with(&self.path_prefix)
+            && self.symbol.as_ref().is_none_or(|s| *s == f.symbol)
     }
 }
 
@@ -76,14 +51,13 @@ pub struct Allowlist {
 
 impl Allowlist {
     /// Parses the allowlist text, validating rule names against
-    /// `known_rules` (the union of lint and analyze rule names, so one
-    /// shared file serves both runs).
+    /// [`RULE_NAMES`].
     ///
     /// # Errors
     /// On an unknown rule name, a malformed line, or a missing
     /// justification — a suppression nobody can read the reason for is
-    /// worse than the violation it hides.
-    pub fn parse(text: &str, known_rules: &[&str]) -> Result<Allowlist, String> {
+    /// worse than the finding it hides.
+    pub fn parse(text: &str) -> Result<Allowlist, String> {
         let mut entries = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
@@ -105,7 +79,7 @@ impl Allowlist {
                     fields.len()
                 ));
             };
-            if !known_rules.contains(&rule) {
+            if !RULE_NAMES.contains(&rule) {
                 return Err(format!("allowlist line {line}: unknown rule `{rule}`"));
             }
             entries.push(Entry {
@@ -119,35 +93,26 @@ impl Allowlist {
         Ok(Allowlist { entries })
     }
 
-    /// The entries whose rule is one of `scope`.
-    pub fn in_scope(&self, scope: &[&str]) -> usize {
-        self.entries.iter().filter(|e| scope.contains(&e.rule.as_str())).count()
-    }
-
-    /// Splits `items` into kept ones and a list of unused-entry errors,
-    /// considering only entries whose rule is in `scope` — a shared
-    /// allowlist must not report lint entries stale during an analyze
-    /// run or vice versa. Every item covered by an in-scope entry is
-    /// suppressed; every in-scope entry that covered nothing is
-    /// reported.
-    pub fn apply<T: Suppressible>(&self, items: Vec<T>, scope: &[&str]) -> (Vec<T>, Vec<String>) {
-        let in_scope: Vec<&Entry> =
-            self.entries.iter().filter(|e| scope.contains(&e.rule.as_str())).collect();
-        let mut used = vec![false; in_scope.len()];
+    /// Splits `findings` into kept ones and a list of unused-entry
+    /// errors. Every finding covered by an entry is suppressed; every
+    /// entry that covered nothing is reported.
+    pub fn apply(&self, findings: Vec<Finding>) -> (Vec<Finding>, Vec<String>) {
+        let mut used = vec![false; self.entries.len()];
         let mut kept = Vec::new();
-        for v in items {
+        for f in findings {
             let mut suppressed = false;
-            for (e, flag) in in_scope.iter().zip(used.iter_mut()) {
-                if e.covers(&v) {
+            for (e, flag) in self.entries.iter().zip(used.iter_mut()) {
+                if e.covers(&f) {
                     *flag = true;
                     suppressed = true;
                 }
             }
             if !suppressed {
-                kept.push(v);
+                kept.push(f);
             }
         }
-        let stale = in_scope
+        let stale = self
+            .entries
             .iter()
             .zip(&used)
             .filter(|(_, used)| !**used)
@@ -168,14 +133,12 @@ impl Allowlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::{Rule, Violation};
 
-    const RULES: [&str; 3] = ["no-unwrap", "no-wallclock", "lock-order"];
-
-    fn violation(rule: Rule, path: &str, symbol: &str) -> Violation {
-        Violation {
+    fn finding(rule: &'static str, path: &str, symbol: &str) -> Finding {
+        Finding {
             path: path.into(),
             line: 1,
+            col: 1,
             rule,
             symbol: symbol.into(),
             message: String::new(),
@@ -183,19 +146,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_missing_justification_and_unknown_rules() {
-        assert!(Allowlist::parse("no-unwrap crates/x expect", &RULES).is_err());
-        assert!(Allowlist::parse("no-unwrap crates/x expect --   ", &RULES).is_err());
-        assert!(Allowlist::parse("no-such-rule crates/x * -- why", &RULES).is_err());
-        assert!(Allowlist::parse("no-unwrap crates/x -- too few fields", &RULES).is_err());
-        let ok = Allowlist::parse("# comment\n\nno-unwrap crates/x expect -- reason\n", &RULES);
+    fn parse_rejects_missing_justification_and_unknown_rule_names() {
+        assert!(Allowlist::parse("no-unwrap crates/x expect").is_err());
+        assert!(Allowlist::parse("no-unwrap crates/x expect --   ").is_err());
+        assert!(Allowlist::parse("no-such-rule crates/x * -- why").is_err());
+        assert!(Allowlist::parse("no-unwrap crates/x -- too few fields").is_err());
+        let ok = Allowlist::parse("# comment\n\nno-unwrap crates/x expect -- reason\n");
         assert_eq!(ok.expect("parses").entries.len(), 1);
     }
 
     #[test]
     fn provenance_suffix_stays_inside_the_justification() {
-        let allow = Allowlist::parse("no-unwrap crates/x expect -- reason -- since PR4\n", &RULES)
-            .expect("parses");
+        let allow =
+            Allowlist::parse("no-unwrap crates/x expect -- reason -- since PR4\n").expect("parses");
         assert_eq!(allow.entries[0].justification, "reason -- since PR4");
     }
 
@@ -204,42 +167,16 @@ mod tests {
         let allow = Allowlist::parse(
             "no-unwrap crates/demo/src expect -- demo reason\n\
              no-wallclock crates/never * -- never matches\n",
-            &RULES,
         )
         .expect("parses");
-        let (kept, stale) = allow.apply(
-            vec![
-                violation(Rule::NoUnwrap, "crates/demo/src/lib.rs", "expect"),
-                violation(Rule::NoUnwrap, "crates/demo/src/lib.rs", "unwrap"),
-                violation(Rule::NoUnwrap, "crates/other/src/lib.rs", "expect"),
-            ],
-            &RULES,
-        );
-        let kept: Vec<&str> = kept.iter().map(|v| v.path.as_str()).collect();
+        let (kept, stale) = allow.apply(vec![
+            finding("no-unwrap", "crates/demo/src/lib.rs", "expect"),
+            finding("no-unwrap", "crates/demo/src/lib.rs", "unwrap"),
+            finding("no-unwrap", "crates/other/src/lib.rs", "expect"),
+        ]);
+        let kept: Vec<&str> = kept.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(kept, vec!["crates/demo/src/lib.rs", "crates/other/src/lib.rs"]);
         assert_eq!(stale.len(), 1);
         assert!(stale[0].contains("no-wallclock"), "{stale:?}");
-    }
-
-    #[test]
-    fn out_of_scope_entries_neither_suppress_nor_go_stale() {
-        let allow = Allowlist::parse(
-            "no-unwrap crates/demo/src expect -- lint-scoped\n\
-             lock-order crates/core/src * -- analyze-scoped\n",
-            &RULES,
-        )
-        .expect("parses");
-        // A lint run: the analyze entry is invisible.
-        let (kept, stale) = allow.apply(
-            vec![violation(Rule::NoUnwrap, "crates/demo/src/lib.rs", "expect")],
-            &["no-unwrap", "no-wallclock"],
-        );
-        assert!(kept.is_empty() && stale.is_empty(), "{stale:?}");
-        assert_eq!(allow.in_scope(&["no-unwrap", "no-wallclock"]), 1);
-        assert_eq!(allow.in_scope(&["lock-order"]), 1);
-        // An analyze run over nothing: only the analyze entry goes stale.
-        let (_, stale) = allow.apply(Vec::<Violation>::new(), &["lock-order"]);
-        assert_eq!(stale.len(), 1);
-        assert!(stale[0].contains("lock-order"), "{stale:?}");
     }
 }

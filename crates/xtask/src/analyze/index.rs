@@ -1,7 +1,7 @@
 //! Workspace symbol index: item definitions plus per-file identifier
 //! occurrence sets.
 //!
-//! Built once over the loaded [`Workspace`](super::Workspace) and shared
+//! Built once over the loaded [`Workspace`] and shared
 //! by the passes: the allowlist-staleness pass asks "does this symbol
 //! still occur under this path prefix", the doc/report layer asks
 //! "where is this item defined". Occurrences are tracked per file as a

@@ -1,10 +1,15 @@
-//! mc-analyze: structural workspace analysis.
+//! mc-analyze: the workspace checker.
 //!
-//! Where mc-lint ([`crate::lints`]) pattern-matches the flat token
-//! stream, mc-analyze parses that stream into a nested item tree
-//! ([`tree`]) plus a workspace symbol index ([`index`]) and runs
-//! semantic passes the flat stream cannot express:
+//! Lexes every source file, parses the token stream into a nested item
+//! tree ([`tree`]) plus a workspace symbol index ([`index`]), and runs
+//! these passes:
 //!
+//! - **[`rules`]** — the six per-token bans (`no-unwrap`, `no-println`,
+//!   `no-wallclock`, `no-direct-sync`, `no-unbounded-queue`,
+//!   `no-adhoc-bench`) over non-test tokens, plus the two
+//!   scope-sensitive rules that need the tree: `no-direct-fit` (the
+//!   `fit_context` fn body is the one recognized seam) and
+//!   `single-construction`.
 //! - **[`locks`]** — extracts every `mc-sync` lock acquisition site,
 //!   approximates held-while-acquiring pairs from guard scopes, builds
 //!   the acquisition graph and fails on cycles, same-lock reacquisition,
@@ -18,13 +23,11 @@
 //! - **[`stale`]** — cross-references `mc-lint.allow` entries against
 //!   the symbol index so entries naming moved or renamed paths/symbols
 //!   fail loudly at their allowlist line.
-//! - **[`rules`]** — the two scope-sensitive lint rules migrated onto
-//!   the structural tree: `no-direct-fit` (the `fit_context` fn body is
-//!   the one recognized seam) and `single-construction`.
 //!
-//! Deny-by-default like the linter, sharing the same allowlist grammar
-//! and file; `cargo xtask analyze` drives it. DESIGN.md §13 describes
-//! the architecture and the analyze/lint/loom division of labor.
+//! Deny-by-default: a finding fails the run unless a justified entry in
+//! the allowlist ([`crate::allow`]) covers it. `cargo xtask analyze`
+//! drives it; DESIGN.md §13 describes the architecture and the
+//! analyze/clippy/loom division of labor.
 
 pub mod drift;
 pub mod index;
@@ -37,12 +40,11 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use crate::allow::{Allowlist, Suppressible};
-use crate::lexer::{lex_full, Token};
-use crate::lints;
+use crate::allow::Allowlist;
+use crate::lexer::{lex, Token};
 
-/// Analyze rule names, for reports and allowlist scoping.
-pub const RULE_NAMES: [&str; 10] = [
+/// Every rule name a finding can carry; allowlist entries must name one.
+pub const RULE_NAMES: [&str; 16] = [
     "lock-order",
     "lock-seam",
     "counter-drift",
@@ -53,6 +55,12 @@ pub const RULE_NAMES: [&str; 10] = [
     "stale-allow",
     "no-direct-fit",
     "single-construction",
+    "no-unwrap",
+    "no-println",
+    "no-wallclock",
+    "no-direct-sync",
+    "no-unbounded-queue",
+    "no-adhoc-bench",
 ];
 
 /// One analysis finding: a span-accurate diagnostic.
@@ -75,28 +83,16 @@ impl fmt::Display for Finding {
     }
 }
 
-impl Suppressible for Finding {
-    fn rule_name(&self) -> &str {
-        self.rule
-    }
-    fn path(&self) -> &str {
-        &self.path
-    }
-    fn symbol(&self) -> &str {
-        &self.symbol
-    }
-}
-
 /// One loaded, lexed and tree-parsed source file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Full-fidelity token stream ([`lex_full`]: literal text kept).
+    /// Token stream ([`lex`]: literal text kept).
     pub tokens: Vec<Token>,
     /// Structural item tree.
     pub tree: Vec<tree::Item>,
-    /// Per-token test-span mask (same exemption as the lint layer).
+    /// Per-token test-only mask, from the tree's `cfg_test` flags.
     pub test_mask: Vec<bool>,
 }
 
@@ -107,8 +103,8 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Loads every linted source file under `root` (same walk as
-    /// mc-lint: `src/` of the root package and of each crate).
+    /// Loads every checked source file under `root`
+    /// ([`crate::collect_sources`]).
     ///
     /// # Errors
     /// On filesystem errors.
@@ -130,9 +126,9 @@ impl Workspace {
         let files = sources
             .into_iter()
             .map(|(path, src)| {
-                let tokens = lex_full(&src);
+                let tokens = lex(&src);
                 let tree = tree::parse(&tokens);
-                let test_mask = lints::test_spans(&tokens);
+                let test_mask = tree::test_mask(&tree, tokens.len());
                 SourceFile { path, tokens, tree, test_mask }
             })
             .collect();
@@ -154,9 +150,10 @@ pub struct AnalysisReport {
     pub lock_sites: usize,
     /// Findings that survived the allowlist, sorted by path then line.
     pub findings: Vec<Finding>,
-    /// Configuration errors: stale analyze-scoped allowlist entries.
+    /// Configuration errors: allowlist entries that suppress nothing.
+    /// These fail the run just like findings.
     pub errors: Vec<String>,
-    /// Analyze-scoped allowlist entries that suppressed something.
+    /// Allowlist entries that suppressed something (for the summary).
     pub suppressions_in_use: usize,
 }
 
@@ -235,6 +232,7 @@ pub fn run_passes(
     findings.extend(drift::spec_drift(ws));
     findings.extend(drift::scenario_drift(ws, artifacts));
     findings.extend(stale::check(&idx, allowlist));
+    findings.extend(rules::token_rules(ws));
     findings.extend(rules::no_direct_fit(ws));
     findings.extend(rules::single_construction(ws));
     (findings, lock_report.sites.len())
@@ -247,13 +245,13 @@ pub fn run_passes(
 /// directories — configuration problems, as opposed to the findings
 /// reported in the result.
 pub fn run_analyze(root: &Path, allowlist_text: &str) -> Result<AnalysisReport, String> {
-    let allowlist = Allowlist::parse(allowlist_text, &crate::known_rules())?;
+    let allowlist = Allowlist::parse(allowlist_text)?;
     let ws = Workspace::load(root)?;
     let artifacts = drift::ScenarioArtifacts::load(root)?;
     let (findings, lock_sites) = run_passes(&ws, &artifacts, &allowlist);
-    let (mut kept, errors) = allowlist.apply(findings, &RULE_NAMES);
+    let (mut kept, errors) = allowlist.apply(findings);
     kept.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
-    let suppressions_in_use = allowlist.in_scope(&RULE_NAMES) - errors.len();
+    let suppressions_in_use = allowlist.entries.len() - errors.len();
     Ok(AnalysisReport {
         files: ws.files.len(),
         lock_sites,

@@ -1,13 +1,12 @@
 //! Allowlist-staleness pass.
 //!
-//! The lint layer already rejects entries that suppress nothing *this
-//! run* — but an entry can also rot structurally: the file it names was
-//! moved, or the symbol it names was renamed, and the entry now pins a
-//! justification to code that no longer exists. That rot is invisible
-//! to use-counting (the entry simply never matches again, and if its
-//! rule is out of scope for the run it never even reports as unused).
-//! This pass cross-references every entry against the workspace symbol
-//! index and fails at the entry's own allowlist line.
+//! Applying the allowlist already rejects entries that suppress nothing
+//! *this run* — but an entry can also rot structurally: the file it
+//! names was moved, or the symbol it names was renamed, and the entry
+//! now pins a justification to code that no longer exists. Use-counting
+//! only says the entry matched nothing; this pass cross-references every
+//! entry against the workspace symbol index and says which path or
+//! symbol segment is gone, at the entry's own allowlist line.
 
 use super::index::SymbolIndex;
 use super::Finding;
@@ -15,8 +14,8 @@ use crate::allow::Allowlist;
 
 /// Checks every allowlist entry against the symbol index.
 ///
-/// Two structural conditions per entry, independent of which rules are
-/// in scope for the current run:
+/// Two structural conditions per entry, independent of whether it
+/// suppressed a finding this run:
 ///
 /// - its path prefix must still cover at least one linted source file;
 /// - its symbol (when not `*`) must still occur — each `::` segment as
@@ -90,7 +89,6 @@ mod tests {
              no-unwrap crates/demo/src real_symbol -- still here\n\
              no-unwrap crates/gone/src * -- moved away\n\
              no-unwrap crates/demo/src Renamed::old_name -- renamed\n",
-            &["no-unwrap"],
         )
         .expect("parses");
         let idx = SymbolIndex::build(&ws());
@@ -106,11 +104,9 @@ mod tests {
 
     #[test]
     fn partially_live_qualified_symbols_report_only_the_dead_segment() {
-        let allow = Allowlist::parse(
-            "no-unwrap crates/demo/src real_symbol::vanished -- half stale\n",
-            &["no-unwrap"],
-        )
-        .expect("parses");
+        let allow =
+            Allowlist::parse("no-unwrap crates/demo/src real_symbol::vanished -- half stale\n")
+                .expect("parses");
         let idx = SymbolIndex::build(&ws());
         let findings = check(&idx, &allow);
         assert_eq!(findings.len(), 1, "{findings:?}");

@@ -83,8 +83,19 @@ pub fn parse(tokens: &[Token]) -> Vec<Item> {
     out
 }
 
+/// Per-token flags over a file of `len` tokens marking test-only code:
+/// every token of an item the tree flags [`Item::cfg_test`]. The
+/// test-only attributes themselves stay unmarked.
+pub fn test_mask(tree: &[Item], len: usize) -> Vec<bool> {
+    let mut mask = vec![false; len];
+    for item in all_items(tree).into_iter().filter(|i| i.cfg_test) {
+        mask[item.start..item.end].fill(true);
+    }
+    mask
+}
+
 /// Index of the `close` matching the `open` at `start`, within `[.., end)`.
-fn matching_in(
+pub(crate) fn matching_in(
     tokens: &[Token],
     start: usize,
     end: usize,
@@ -105,9 +116,9 @@ fn matching_in(
     None
 }
 
-/// Does this attribute body mark test-only code? Mirrors the lint
-/// layer's exemption: bare `#[test]` / `#[bench]`, or a `#[cfg(..)]`
-/// mentioning `test` without a negation.
+/// Does this attribute body mark test-only code? Bare `#[test]` /
+/// `#[bench]`, or a `#[cfg(..)]` mentioning `test` without a negation:
+/// `not(test)` guards production-only code, the opposite of test code.
 fn attr_is_test(body: &[Token]) -> bool {
     match body.first() {
         Some(t) if t.is_ident("test") || t.is_ident("bench") => body.len() == 1,

@@ -1,23 +1,22 @@
-//! A minimal Rust lexer, sufficient for token-level lint rules and the
-//! structural passes in [`crate::analyze`].
+//! A minimal Rust lexer, sufficient for the token rules and structural
+//! passes in [`crate::analyze`].
 //!
 //! Produces identifiers, punctuation, literals and lifetimes with line
 //! and column numbers; comments (line, nested block, doc) are dropped.
-//! [`lex`] keeps string / char contents opaque so downstream rules can
-//! never match inside text; [`lex_full`] preserves literal text for
-//! passes that must read string contents (e.g. counter-name mirrors).
-//! This is deliberately not a full parser: the lint rules in
-//! [`crate::lints`] work on token patterns plus brace matching, which a
-//! hand lexer models faithfully without a syntax-tree dependency.
+//! Literals keep their source text for passes that read string contents
+//! (e.g. counter-name mirrors); a literal is never an [`Kind::Ident`] or
+//! [`Kind::Punct`] token, so no token rule can match inside text. This
+//! is deliberately not a full parser: token patterns plus brace
+//! matching are modeled faithfully by a hand lexer without a
+//! syntax-tree dependency.
 
-/// What a token is, as far as the lint rules care.
+/// What a token is, as far as the rules care.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Identifier or keyword (raw identifiers lose their `r#` prefix).
     Ident,
-    /// String, raw-string, byte-string, C-string or char literal.
-    ///
-    /// Content is opaque under [`lex`], preserved under [`lex_full`].
+    /// String, raw-string, byte-string, C-string or char literal, with
+    /// its source text (quotes and any `r#`/`b`/`c` prefix included).
     Literal,
     /// Numeric literal.
     Number,
@@ -86,36 +85,23 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
-/// Lexes `src`, dropping comments and whitespace; literal contents are
-/// blanked so token-pattern rules can never match inside text.
+/// Lexes `src`, dropping comments and whitespace.
 ///
 /// Unterminated strings/comments end the token stream at end of input
-/// rather than erroring: lints run on code that already compiles, so
-/// recovery precision is not worth the complexity.
+/// rather than erroring: the checks run on code that already compiles,
+/// so recovery precision is not worth the complexity.
 pub fn lex(src: &str) -> Vec<Token> {
-    lex_impl(src, false)
-}
-
-/// Like [`lex`] but string/char literals keep their source text
-/// (including quotes and any `r#`/`b`/`c` prefix). Structural passes
-/// that compare string contents against symbol tables use this variant.
-pub fn lex_full(src: &str) -> Vec<Token> {
-    lex_impl(src, true)
-}
-
-fn lex_impl(src: &str, keep_literal_text: bool) -> Vec<Token> {
     let mut cur = Cursor { src: src.as_bytes(), pos: 0, line: 1, col: 1 };
     let mut out = Vec::new();
     while let Some(b) = cur.peek(0) {
         let line = cur.line;
         let col = cur.col;
         let start = cur.pos;
-        let literal_text = |cur: &Cursor<'_>| {
-            if keep_literal_text {
-                src[start..cur.pos].to_string()
-            } else {
-                String::new()
-            }
+        let literal = |cur: &Cursor<'_>| Token {
+            kind: Kind::Literal,
+            text: src[start..cur.pos].into(),
+            line,
+            col,
         };
         match b {
             b' ' | b'\t' | b'\r' | b'\n' => {
@@ -137,8 +123,7 @@ fn lex_impl(src: &str, keep_literal_text: bool) -> Vec<Token> {
             }
             b'r' | b'b' | b'c' if starts_prefixed_string(&cur) => {
                 lex_string_like(&mut cur);
-                let text = literal_text(&cur);
-                out.push(Token { kind: Kind::Literal, text, line, col });
+                out.push(literal(&cur));
             }
             _ if is_ident_start(b) => out.push(lex_ident(&mut cur, line, col)),
             b'0'..=b'9' => {
@@ -156,13 +141,11 @@ fn lex_impl(src: &str, keep_literal_text: bool) -> Vec<Token> {
             }
             b'"' => {
                 lex_quoted(&mut cur, b'"');
-                let text = literal_text(&cur);
-                out.push(Token { kind: Kind::Literal, text, line, col });
+                out.push(literal(&cur));
             }
             b'\'' => {
                 if lex_char_or_lifetime(&mut cur) {
-                    let text = literal_text(&cur);
-                    out.push(Token { kind: Kind::Literal, text, line, col });
+                    out.push(literal(&cur));
                 } else {
                     out.push(Token { kind: Kind::Lifetime, text: String::new(), line, col });
                 }
@@ -306,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_comments_are_opaque() {
+    fn strings_and_comments_never_yield_identifiers() {
         let src = r##"
             // unwrap in a comment
             /* panic! in /* nested */ block */
@@ -346,14 +329,7 @@ mod tests {
             toks.iter().map(|t| (t.line, t.col, t.text.as_str())).collect();
         assert_eq!(
             spans,
-            vec![
-                (1, 1, "ab"),
-                (1, 4, "cd"),
-                (2, 3, "ef"),
-                (2, 5, "("),
-                (2, 6, ""), // the 'x' char literal, opaque under lex()
-                (2, 9, ")"),
-            ]
+            vec![(1, 1, "ab"), (1, 4, "cd"), (2, 3, "ef"), (2, 5, "("), (2, 6, "'x'"), (2, 9, ")")]
         );
     }
 
@@ -375,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn c_string_literals_are_single_opaque_tokens() {
+    fn c_string_literals_are_single_tokens() {
         // c"…" and cr#"…"# are literals, not a `c` ident plus a string;
         // `crate` must still lex as an identifier.
         let src = r###"let a = c"null\0"; let b = cr#"raw "c" str"#; crate::x"###;
@@ -386,16 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn lex_full_preserves_literal_text() {
+    fn literals_keep_their_source_text() {
         let src = r#"emit("cache_hit", 'x', b"raw")"#;
         let lits: Vec<String> =
-            lex_full(src).into_iter().filter(|t| t.kind == Kind::Literal).map(|t| t.text).collect();
+            lex(src).into_iter().filter(|t| t.kind == Kind::Literal).map(|t| t.text).collect();
         assert_eq!(lits, vec!["\"cache_hit\"", "'x'", "b\"raw\""]);
-        // The opaque variant still blanks them.
-        assert!(lex(src)
-            .into_iter()
-            .filter(|t| t.kind == Kind::Literal)
-            .all(|t| t.text.is_empty()));
     }
 
     #[test]

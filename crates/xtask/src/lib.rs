@@ -1,63 +1,25 @@
 //! Workspace automation library behind the `cargo xtask` binary.
 //!
-//! Two checkers share this crate: **mc-lint** ([`run_lint`]), a
-//! deny-by-default invariant linter over the flat token stream, and
-//! **mc-analyze** ([`analyze::run_analyze`]), the structural analysis
-//! layer (item tree + symbol index + lock-order and drift passes).
-//! Lint rules live in [`lints`], analysis passes in [`analyze`],
-//! suppression (with mandatory justifications, one shared file) in
-//! [`allow`], and the token stream everything works on comes from
-//! [`lexer`]. DESIGN.md §8 and §13 describe how these layers fit next
-//! to clippy and the loom suite.
+//! **mc-analyze** ([`analyze::run_analyze`]) is the one workspace
+//! checker: it lexes every source file ([`lexer`]), parses an item tree
+//! and symbol index, and runs the token rules, lock-order and drift
+//! passes over them. Suppression, with mandatory justifications, lives
+//! in one allowlist file ([`allow`]). DESIGN.md §8 and §13 describe how
+//! the checker fits next to clippy and the loom suite.
 
 pub mod allow;
 pub mod analyze;
 pub mod lexer;
-pub mod lints;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use allow::Allowlist;
-use lints::{lint_file, Violation};
-
-/// Every rule name either checker can report — the validation set for
-/// the shared allowlist, so a lint run does not reject an
-/// analyze-scoped entry as unknown (or vice versa).
-pub fn known_rules() -> Vec<&'static str> {
-    let mut rules = Vec::new();
-    rules.extend(lints::RULE_NAMES);
-    rules.extend(analyze::RULE_NAMES);
-    rules
-}
-
-/// Everything one lint run produced.
-#[derive(Debug)]
-pub struct LintReport {
-    /// Files linted.
-    pub files: usize,
-    /// Violations that survived the allowlist, sorted by path then line.
-    pub violations: Vec<Violation>,
-    /// Configuration errors: stale allowlist entries that suppress
-    /// nothing. These fail the run just like violations.
-    pub errors: Vec<String>,
-    /// Allowlist entries that did suppress something (for the summary).
-    pub suppressions_in_use: usize,
-}
-
-impl LintReport {
-    /// Whether the run passed.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.errors.is_empty()
-    }
-}
-
-/// Collects the workspace-relative paths of every linted source file:
-/// `src/**/*.rs` of the root package and of each crate under `crates/`.
+/// Collects the paths of every checked source file: `src/**/*.rs` of
+/// the root package and of each crate under `crates/`.
 ///
 /// Integration tests (`tests/`), benches, fixtures and the `vendor/`
-/// stand-ins are outside the walk by construction; in-file test spans
-/// are handled by the rules themselves.
+/// stand-ins are outside the walk by construction; in-file test-only
+/// items are masked by the checker itself.
 ///
 /// # Errors
 /// On filesystem errors walking the tree.
@@ -95,25 +57,4 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Lints the workspace rooted at `root` against `allowlist_text`.
-///
-/// # Errors
-/// On a malformed allowlist or unreadable sources — configuration
-/// problems, as opposed to the violations reported in the result.
-pub fn run_lint(root: &Path, allowlist_text: &str) -> Result<LintReport, String> {
-    let allowlist = Allowlist::parse(allowlist_text, &known_rules())?;
-    let files = collect_sources(root)?;
-    let mut violations = Vec::new();
-    for path in &files {
-        let rel = path.strip_prefix(root).unwrap_or(path);
-        let rel = rel.to_string_lossy().replace('\\', "/");
-        let src = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        violations.extend(lint_file(&rel, &src));
-    }
-    let (mut kept, errors) = allowlist.apply(violations, &lints::RULE_NAMES);
-    kept.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    let suppressions_in_use = allowlist.in_scope(&lints::RULE_NAMES) - errors.len();
-    Ok(LintReport { files: files.len(), violations: kept, errors, suppressions_in_use })
 }

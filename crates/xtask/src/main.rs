@@ -1,13 +1,10 @@
 //! `cargo xtask` — workspace automation driver.
 //!
 //! Subcommands:
-//! - `lint` — run mc-lint over the workspace (see `xtask::run_lint`).
-//!   Exits non-zero on any violation or stale allowlist entry.
-//! - `analyze` — run mc-analyze, the structural analysis layer (see
-//!   `xtask::analyze::run_analyze`): lock-order and seam checks,
-//!   exhaustiveness-drift passes, allowlist staleness, and the
-//!   tree-based `no-direct-fit` / `single-construction` rules. Same
-//!   deny-by-default contract and allowlist file as `lint`;
+//! - `analyze` — run mc-analyze, the workspace checker (see
+//!   `xtask::analyze::run_analyze`): token rules, lock-order and seam
+//!   checks, exhaustiveness-drift passes and allowlist staleness. Exits
+//!   non-zero on any finding or stale `mc-lint.allow` entry;
 //!   `--report PATH` additionally writes a machine-readable JSON
 //!   findings report.
 //! - `bench-gate` — compare freshly generated `BENCH_*.json` reports
@@ -30,50 +27,6 @@ fn workspace_root() -> PathBuf {
             root
         }
         None => PathBuf::from("."),
-    }
-}
-
-fn lint() -> ExitCode {
-    let root = workspace_root();
-    let allow_path = root.join("mc-lint.allow");
-    let allowlist = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            eprintln!("mc-lint: cannot read {}: {e}", allow_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match xtask::run_lint(&root, &allowlist) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("mc-lint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for v in &report.violations {
-        println!("{v}");
-    }
-    for e in &report.errors {
-        println!("{e}");
-    }
-    if report.clean() {
-        println!(
-            "mc-lint: {} files clean ({} allowlist entr{} in use)",
-            report.files,
-            report.suppressions_in_use,
-            if report.suppressions_in_use == 1 { "y" } else { "ies" }
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "mc-lint: {} violation(s), {} stale allowlist entr{} — fix the code or add a \
-             justified entry to mc-lint.allow",
-            report.violations.len(),
-            report.errors.len(),
-            if report.errors.len() == 1 { "y" } else { "ies" }
-        );
-        ExitCode::FAILURE
     }
 }
 
@@ -212,19 +165,17 @@ fn bench_gate(args: Vec<String>) -> ExitCode {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("lint") => lint(),
         Some("analyze") => analyze(args.collect()),
         Some("bench-gate") => bench_gate(args.collect()),
         Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (available: lint, analyze, bench-gate)");
+            eprintln!("xtask: unknown task `{other}` (available: analyze, bench-gate)");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
-                "usage: cargo xtask <task>\n\ntasks:\n  lint          run mc-lint over the \
-                 workspace\n  analyze       run mc-analyze (lock order, drift, allowlist \
-                 staleness) [--report PATH]\n  bench-gate    compare BENCH_*.json reports \
-                 against the committed baseline"
+                "usage: cargo xtask <task>\n\ntasks:\n  analyze       run mc-analyze (token \
+                 rules, lock order, drift, allowlist staleness) [--report PATH]\n  bench-gate    \
+                 compare BENCH_*.json reports against the committed baseline"
             );
             ExitCode::FAILURE
         }

@@ -1,16 +1,18 @@
 //! End-to-end tests for `cargo xtask analyze`.
 //!
-//! Three layers: the committed workspace must come out clean; the
+//! Four layers: the committed workspace must come out clean; the
 //! lock-order pass must provably cover every `mc-sync` acquisition site
 //! in serve-land (cross-checked against an independent token count);
-//! and each seeded fixture under `fixtures/analyze/` must fail with a
-//! span-accurate diagnostic.
+//! each seeded fixture under `fixtures/` and `fixtures/analyze/` must
+//! fail with a span-accurate diagnostic, its test-only items exempt;
+//! and the allowlist must suppress exactly what it names and report
+//! what it no longer covers.
 
 use std::path::Path;
 
 use xtask::allow::Allowlist;
 use xtask::analyze::index::SymbolIndex;
-use xtask::analyze::{drift, locks, rules, run_analyze, stale, Workspace};
+use xtask::analyze::{drift, locks, rules, run_analyze, stale, Finding, Workspace, RULE_NAMES};
 
 const LOCK_CYCLE: &str = include_str!("fixtures/analyze/lock_cycle.rs");
 const COUNTER_ROBUST: &str = include_str!("fixtures/analyze/counter_drift_robust.rs");
@@ -22,6 +24,12 @@ const SPAN_EXPORT: &str = include_str!("fixtures/analyze/span_drift_export.rs");
 const SPAN_METRICS: &str = include_str!("fixtures/analyze/span_drift_metrics.rs");
 const DIRECT_FIT: &str = include_str!("fixtures/direct_fit.rs");
 const DUP: &str = include_str!("fixtures/dup_construction.rs");
+const UNWRAP: &str = include_str!("fixtures/unwrap_in_lib.rs");
+const PRINTLN: &str = include_str!("fixtures/println_in_lib.rs");
+const WALLCLOCK: &str = include_str!("fixtures/wallclock.rs");
+const SYNC: &str = include_str!("fixtures/direct_sync.rs");
+const QUEUE: &str = include_str!("fixtures/unbounded_queue.rs");
+const ADHOC: &str = include_str!("fixtures/adhoc_bench.rs");
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap()
@@ -37,6 +45,30 @@ fn ws(files: &[(&str, &str)]) -> Workspace {
 /// are asserted against the fixture text itself, not hand-counted.
 fn col(src: &str, line: usize, pat: &str) -> usize {
     src.lines().nth(line - 1).unwrap().find(pat).unwrap() + 1
+}
+
+/// Token-rule findings for the fixture `src` checked at `path`.
+fn token_findings(path: &str, src: &str) -> Vec<Finding> {
+    rules::token_rules(&ws(&[(path, src)]))
+}
+
+/// `(rule, symbol, line, col)` quadruples, sorted, for compact assertions.
+fn shape(findings: &[Finding]) -> Vec<(&'static str, String, usize, usize)> {
+    let mut out: Vec<_> =
+        findings.iter().map(|f| (f.rule, f.symbol.clone(), f.line, f.col)).collect();
+    out.sort();
+    out
+}
+
+/// One expected token-rule finding on `line` of `src`, at `pat`.
+fn at(
+    rule: &'static str,
+    symbol: &str,
+    src: &str,
+    line: usize,
+    pat: &str,
+) -> (&'static str, String, usize, usize) {
+    (rule, symbol.to_string(), line, col(src, line, pat))
 }
 
 #[test]
@@ -210,7 +242,6 @@ fn stale_allowlist_entry_fails_at_its_own_line() {
         "# header comment\n\
          no-unwrap crates/core/src * -- live path, must not be flagged -- since PR9\n\
          lock-order crates/core/src/serve_old.rs * -- seeded: file renamed away -- since PR9\n",
-        &xtask::known_rules(),
     )
     .unwrap();
     let findings = stale::check(&idx, &allow);
@@ -260,4 +291,177 @@ fn dup_construction_fixture_flags_all_four_sites() {
     assert!(findings
         .iter()
         .all(|f| f.rule == "single-construction" && f.message.contains("2 places")));
+}
+
+#[test]
+fn unwrap_fixture_flags_production_but_not_tests() {
+    let got = shape(&token_findings("tests/fixtures/unwrap_in_lib.rs", UNWRAP));
+    assert_eq!(
+        got,
+        vec![
+            at("no-unwrap", "expect", UNWRAP, 9, "expect"),
+            at("no-unwrap", "panic", UNWRAP, 13, "panic"),
+            at("no-unwrap", "unwrap", UNWRAP, 5, "unwrap"),
+            // cfg(not(test)) is production code, so line 35 stays flagged;
+            // the #[test] fn and #[cfg(test)] mod are exempt.
+            at("no-unwrap", "unwrap", UNWRAP, 35, "unwrap"),
+        ]
+    );
+}
+
+#[test]
+fn println_fixture_flags_library_stdio_but_not_tests_or_bins() {
+    let got = shape(&token_findings("tests/fixtures/println_in_lib.rs", PRINTLN));
+    assert_eq!(
+        got,
+        vec![
+            at("no-println", "eprintln", PRINTLN, 8, "eprintln"),
+            at("no-println", "println", PRINTLN, 4, "println"),
+        ]
+    );
+    // The same source under a binary path raises nothing.
+    assert!(token_findings("src/bin/println_in_lib.rs", PRINTLN).is_empty());
+    assert!(token_findings("crates/demo/src/main.rs", PRINTLN).is_empty());
+}
+
+#[test]
+fn wallclock_fixture_flags_every_nondeterminism_source() {
+    let got = shape(&token_findings("tests/fixtures/wallclock.rs", WALLCLOCK));
+    assert_eq!(
+        got,
+        vec![
+            at("no-wallclock", "Instant::now", WALLCLOCK, 6, "Instant"),
+            at("no-wallclock", "SystemTime", WALLCLOCK, 3, "SystemTime"),
+            at("no-wallclock", "SystemTime", WALLCLOCK, 8, "SystemTime"),
+            at("no-wallclock", "thread_rng", WALLCLOCK, 15, "thread_rng"),
+        ]
+    );
+}
+
+#[test]
+fn sync_fixture_flags_locks_in_path_and_use_tree_form() {
+    let got = shape(&token_findings("tests/fixtures/direct_sync.rs", SYNC));
+    assert_eq!(
+        got,
+        vec![
+            at("no-direct-sync", "Condvar", SYNC, 5, "Condvar"),
+            at("no-direct-sync", "Mutex", SYNC, 4, "Mutex"),
+            at("no-direct-sync", "Mutex", SYNC, 8, "Mutex"),
+        ]
+    );
+}
+
+#[test]
+fn queue_fixture_flags_imports_types_and_constructors_but_not_tests() {
+    let findings = token_findings("tests/fixtures/unbounded_queue.rs", QUEUE);
+    assert_eq!(
+        shape(&findings),
+        vec![
+            at("no-unbounded-queue", "VecDeque", QUEUE, 2, "VecDeque"),
+            at("no-unbounded-queue", "VecDeque", QUEUE, 4, "VecDeque"),
+            at("no-unbounded-queue", "VecDeque", QUEUE, 5, "VecDeque"),
+            at("no-unbounded-queue", "mpsc", QUEUE, 9, "mpsc"),
+        ]
+    );
+    // The sanctioned backing store is suppressed the same way the real
+    // workspace allowlist suppresses sched.rs — by named symbol.
+    let allow = Allowlist::parse(
+        "no-unbounded-queue tests/fixtures/unbounded_queue.rs VecDeque -- fixture exercise\n\
+         no-unbounded-queue tests/fixtures/unbounded_queue.rs mpsc -- fixture exercise\n",
+    )
+    .unwrap();
+    let (kept, stale) = allow.apply(findings);
+    assert!(kept.is_empty() && stale.is_empty());
+}
+
+#[test]
+fn adhoc_bench_fixture_flags_bins_in_bench_land_only() {
+    // Under a bench-bin path every direct engine/serve touch is flagged
+    // — the bin exemption that softens no-unwrap/no-println does NOT
+    // apply, because bench bins are exactly what this rule polices.
+    let got = shape(&token_findings("crates/bench/src/bin/adhoc_bench.rs", ADHOC));
+    assert_eq!(
+        got,
+        vec![
+            at("no-adhoc-bench", "ForecastEngine", ADHOC, 7, "ForecastEngine"),
+            at("no-adhoc-bench", "ServeHandle", ADHOC, 9, "ServeHandle"),
+            at("no-adhoc-bench", "serve_all", ADHOC, 10, "serve_all"),
+            at("no-adhoc-bench", "serve_all_observed", ADHOC, 11, "serve_all_observed"),
+        ]
+    );
+    // The spec crate is bench-land too; the same source under the
+    // runner path is what the workspace allowlist entry suppresses.
+    let runner = token_findings("crates/spec/src/runner.rs", ADHOC);
+    assert_eq!(runner.len(), 4);
+    let allow = Allowlist::parse(
+        "no-adhoc-bench crates/spec/src/runner.rs * -- the runner is the sanctioned seam\n",
+    )
+    .unwrap();
+    let (kept, stale) = allow.apply(runner);
+    assert!(kept.is_empty() && stale.is_empty());
+    // Outside bench-land the rule never fires.
+    assert!(token_findings("crates/core/src/serve.rs", ADHOC).is_empty());
+}
+
+#[test]
+fn allowlist_suppresses_exactly_what_it_names() {
+    let findings = token_findings("tests/fixtures/unwrap_in_lib.rs", UNWRAP);
+    assert_eq!(findings.len(), 4);
+
+    // Symbol-specific entries: the two unwraps and the expect are
+    // suppressed, the panic survives.
+    let allow = Allowlist::parse(
+        "no-unwrap tests/fixtures/unwrap_in_lib.rs unwrap -- fixture exercise\n\
+         no-unwrap tests/fixtures/unwrap_in_lib.rs expect -- fixture exercise\n",
+    )
+    .unwrap();
+    let (kept, stale) = allow.apply(findings.clone());
+    assert!(stale.is_empty());
+    assert_eq!(shape(&kept), vec![at("no-unwrap", "panic", UNWRAP, 13, "panic")]);
+
+    // A wildcard symbol with a path prefix suppresses the whole family.
+    let allow = Allowlist::parse("no-unwrap tests/fixtures * -- fixtures are known-bad\n").unwrap();
+    let (kept, stale) = allow.apply(findings.clone());
+    assert!(kept.is_empty() && stale.is_empty());
+
+    // The rule must match, not just the path: a no-wallclock entry
+    // suppresses nothing here and is reported stale.
+    let allow =
+        Allowlist::parse("no-wallclock tests/fixtures/unwrap_in_lib.rs * -- wrong rule\n").unwrap();
+    let (kept, stale) = allow.apply(findings);
+    assert_eq!(kept.len(), 4);
+    assert_eq!(stale.len(), 1);
+    assert!(stale[0].contains("no-wallclock"), "stale message names the entry: {}", stale[0]);
+}
+
+#[test]
+fn stale_entries_fail_even_when_everything_else_is_clean() {
+    let allow =
+        Allowlist::parse("no-direct-sync crates/nonexistent * -- covers nothing at all\n").unwrap();
+    let (kept, stale) = allow.apply(Vec::new());
+    assert!(kept.is_empty());
+    assert_eq!(stale.len(), 1);
+}
+
+#[test]
+fn allowlist_rejects_missing_or_empty_justification() {
+    assert!(Allowlist::parse("no-unwrap crates/foo *\n").is_err());
+    assert!(Allowlist::parse("no-unwrap crates/foo * --\n").is_err());
+    assert!(Allowlist::parse("no-such-rule crates/foo * -- why\n").is_err());
+    // Comments and blank lines are fine.
+    let allow = Allowlist::parse("# header\n\nno-unwrap crates/foo bar -- reason\n").unwrap();
+    let (_, stale) = allow.apply(Vec::new());
+    assert_eq!(stale.len(), 1);
+}
+
+#[test]
+fn every_known_rule_name_is_accepted_and_unique() {
+    let mut sorted = RULE_NAMES.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), RULE_NAMES.len(), "duplicate rule name: {RULE_NAMES:?}");
+    for rule in RULE_NAMES {
+        let line = format!("{rule} crates/foo * -- exercising every rule name\n");
+        assert!(Allowlist::parse(&line).is_ok(), "rule {rule} rejected");
+    }
 }

@@ -1,7 +1,7 @@
 // Known-bad fixture for the no-adhoc-bench rule: a bench bin driving
 // the engine and serve seams by hand instead of lowering a ScenarioSpec
 // through the mc-spec runner. Linted under a crates/bench path by
-// tests/fixtures.rs; never compiled.
+// tests/analyze.rs; never compiled.
 
 fn main() {
     let engine = ForecastEngine::new(config);
