@@ -23,6 +23,7 @@
 //! `no-adhoc-bench` lint keeps these bins declarative: they may not
 //! touch the engine or serve seams directly.
 //!
-//! Criterion microbenchmarks stay under `benches/`.
+//! Wall-clock measurement lives in the standalone `benchmark/` package
+//! (see its README), not here.
 
 pub use mc_spec::{RESULTS_DIR, TEST_FRACTION};

@@ -16,7 +16,8 @@ pub struct InferenceCost {
     pub generated_tokens: u64,
     /// Abstract work units: for [`crate::SuffixLm`] this counts context
     /// positions scanned (the transformer-like O(context²) total); for
-    /// [`crate::NGramLm`] it counts hash-table probes.
+    /// [`crate::NGramLm`] and [`crate::PpmLm`] it counts the context
+    /// orders visited per observed token and per distribution.
     pub work_units: u64,
 }
 

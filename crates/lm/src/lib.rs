@@ -27,6 +27,7 @@ pub mod bpe;
 pub mod cache;
 pub mod concrete;
 pub mod cost;
+mod counts;
 pub mod ensemble;
 pub mod generate;
 pub mod metered;
@@ -34,6 +35,8 @@ pub mod model;
 pub mod ngram;
 pub mod ppm;
 pub mod presets;
+#[cfg(test)]
+mod reference;
 pub mod sampler;
 pub mod suffix;
 pub mod tokenizer;

@@ -14,37 +14,60 @@
 //! `gamma`: a deep, low-`gamma` instance locks onto long repetitive
 //! patterns (the "LLaMA2" preset), a shallow high-`gamma` one can only see
 //! local digit statistics (the "Phi-2" preset).
-
-use std::collections::HashMap;
+//!
+//! Counts live in a flat `CountTable` (`counts.rs`). The mixing math is
+//! one function, `interpolate`, which the mutable [`NGramLm`] runs on its
+//! own table and each [`NGramSession`] runs on its overlay-over-base view.
 
 use crate::cost::InferenceCost;
+use crate::counts::{CountState, ForkState, History, Rows};
 use crate::model::{DecodeSession, FrozenLm, LanguageModel};
 use crate::vocab::TokenId;
 
-/// Radix-encodes the last `k` tokens of `history` into a map key — the
-/// context-key scheme shared by [`NGramLm`] and [`crate::ppm::PpmLm`]
-/// (and their frozen decode sessions, which must reproduce it exactly).
-pub(crate) fn radix_key(history: &[TokenId], k: usize, vocab_size: usize) -> u64 {
-    debug_assert!(k <= history.len());
-    let mut key = 0u64;
-    for &t in &history[history.len() - k..] {
-        key = key * vocab_size as u64 + t as u64;
+/// Writes the interpolated next-token distribution over `rows` after
+/// `history` into `out`, returning the orders visited.
+///
+/// Order 0 is a unigram with add-one smoothing toward uniform; each higher
+/// order `k` with a seen context blends in its counts with weight
+/// λ = n / (n + gamma · distinct). A context never seen keeps the
+/// lower-order estimate (full back-off).
+fn interpolate(rows: &impl Rows, history: &History, gamma: f64, out: &mut [f64]) -> u64 {
+    assert_eq!(out.len(), rows.width(), "distribution buffer size");
+    let v = out.len() as f64;
+    match rows.row(0, 0) {
+        Some(c) => {
+            let total = totals(c).0 as f64;
+            for (o, &x) in out.iter_mut().zip(c) {
+                *o = (x as f64 + 1.0) / (total + v);
+            }
+        }
+        None => out.fill(1.0 / v),
     }
-    key
+    for (k, &key) in history.keys().iter().enumerate().skip(1) {
+        let Some(c) = rows.row(k, key) else { continue };
+        let (total, distinct) = totals(c);
+        if total > 0 {
+            // u32 counts sum exactly in f64, so this equals the f64 sum.
+            let total = total as f64;
+            let lambda = total / (total + gamma * distinct as f64);
+            for (o, &x) in out.iter_mut().zip(c) {
+                *o = lambda * (x as f64 / total) + (1.0 - lambda) * *o;
+            }
+        }
+    }
+    history.keys().len() as u64
+}
+
+/// A row's total count and number of tokens with a non-zero count.
+fn totals(row: &[u32]) -> (u64, u64) {
+    row.iter().fold((0, 0), |(n, d), &x| (n + u64::from(x), d + u64::from(x > 0)))
 }
 
 /// Interpolated n-gram LM. See the module docs.
 #[derive(Debug, Clone)]
 pub struct NGramLm {
-    vocab_size: usize,
-    max_order: usize,
+    state: CountState,
     gamma: f64,
-    /// `counts[k]` maps a radix-encoded `k`-token context to next-token
-    /// count vectors.
-    counts: Vec<HashMap<u64, Vec<u32>>>,
-    /// Most recent `max_order` tokens, oldest first.
-    history: Vec<TokenId>,
-    cost: InferenceCost,
     name: String,
 }
 
@@ -56,29 +79,13 @@ impl NGramLm {
     /// If `vocab_size == 0`, `gamma <= 0`, or the radix encoding of
     /// `max_order` tokens would overflow 64 bits.
     pub fn new(vocab_size: usize, max_order: usize, gamma: f64, name: impl Into<String>) -> Self {
-        assert!(vocab_size > 0, "vocab_size must be positive");
         assert!(gamma > 0.0, "gamma must be positive");
-        let bits = (vocab_size as f64).log2().ceil().max(1.0) * max_order as f64;
-        assert!(bits <= 63.0, "max_order {max_order} too deep for vocab {vocab_size}");
-        Self {
-            vocab_size,
-            max_order,
-            gamma,
-            counts: vec![HashMap::new(); max_order + 1],
-            history: Vec::with_capacity(max_order),
-            cost: InferenceCost::default(),
-            name: name.into(),
-        }
+        Self { state: CountState::new(vocab_size, max_order), gamma, name: name.into() }
     }
 
     /// Context depth this model mixes up to.
     pub fn max_order(&self) -> usize {
-        self.max_order
-    }
-
-    /// Radix-encodes the last `k` history tokens into a map key.
-    fn key(&self, k: usize) -> u64 {
-        radix_key(&self.history, k, self.vocab_size)
+        self.state.max_order()
     }
 
     /// Freezes the model after prompt conditioning; decode via
@@ -96,11 +103,11 @@ pub struct FrozenNGram {
 
 impl FrozenLm for FrozenNGram {
     fn vocab_size(&self) -> usize {
-        self.base.vocab_size
+        self.base.state.vocab_size()
     }
 
     fn prompt_cost(&self) -> InferenceCost {
-        self.base.cost
+        self.base.state.cost
     }
 
     fn name(&self) -> &str {
@@ -116,7 +123,7 @@ impl FrozenLm for FrozenNGram {
         // observe path reaches the exact state a from-scratch fit on the
         // extended prompt would (same counts, history, cost).
         for &t in tokens {
-            self.base.observe(t, false);
+            self.base.state.observe(t, false);
         }
         true
     }
@@ -124,166 +131,61 @@ impl FrozenLm for FrozenNGram {
 
 /// One sample's decode cursor over a frozen [`NGramLm`].
 ///
-/// Count updates for generated tokens go into a copy-on-write overlay (the
-/// affected count vector is copied from the base on first touch), so the
-/// frozen base is shared read-only and the session sees exactly the counts
-/// a mutated clone would — same `u32` counts, same `f64` arithmetic,
-/// bit-identical distributions.
+/// Counts for generated tokens go into an overlay table that starts empty
+/// and copies a context's row from the base on first touch, so the frozen
+/// base is shared read-only and `interpolate` sees exactly the counts a
+/// mutated clone would.
 #[derive(Debug)]
 pub struct NGramSession<'a> {
-    base: &'a NGramLm,
-    overlay: Vec<HashMap<u64, Vec<u32>>>,
-    history: Vec<TokenId>,
-    cost: InferenceCost,
+    fork: ForkState<'a>,
+    gamma: f64,
 }
 
 impl<'a> NGramSession<'a> {
     pub(crate) fn new(base: &'a NGramLm) -> Self {
-        Self {
-            base,
-            overlay: vec![HashMap::new(); base.max_order + 1],
-            history: base.history.clone(),
-            cost: InferenceCost::default(),
-        }
-    }
-
-    fn counts(&self, k: usize, key: u64) -> Option<&Vec<u32>> {
-        self.overlay[k].get(&key).or_else(|| self.base.counts[k].get(&key))
+        Self { fork: ForkState::new(&base.state), gamma: base.gamma }
     }
 }
 
 impl DecodeSession for NGramSession<'_> {
     fn vocab_size(&self) -> usize {
-        self.base.vocab_size
+        self.fork.vocab_size()
     }
 
     fn observe(&mut self, token: TokenId) {
-        let vocab_size = self.base.vocab_size;
-        assert!((token as usize) < vocab_size, "token {token} out of range");
-        for k in 0..=self.base.max_order.min(self.history.len()) {
-            let key = radix_key(&self.history, k, vocab_size);
-            let base_counts = &self.base.counts[k];
-            let slot = self.overlay[k].entry(key).or_insert_with(|| {
-                base_counts.get(&key).cloned().unwrap_or_else(|| vec![0u32; vocab_size])
-            });
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.base.max_order {
-            self.history.remove(0);
-        }
-        self.cost.generated_tokens += 1;
+        self.fork.observe(token);
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.base.vocab_size, "distribution buffer size");
-        let v = self.base.vocab_size as f64;
-        // Order 0 base: unigram with add-one smoothing toward uniform
-        // (mirrors `NGramLm::next_distribution` operation for operation).
-        let mut p: Vec<f64> = {
-            self.cost.work_units += 1;
-            match self.counts(0, 0) {
-                Some(c) => {
-                    let total: f64 = c.iter().map(|&x| x as f64).sum();
-                    c.iter().map(|&x| (x as f64 + 1.0) / (total + v)).collect()
-                }
-                None => vec![1.0 / v; self.base.vocab_size],
-            }
-        };
-        let deepest = self.base.max_order.min(self.history.len());
-        for k in 1..=deepest {
-            let key = radix_key(&self.history, k, self.base.vocab_size);
-            self.cost.work_units += 1;
-            if let Some(c) = self.counts(k, key) {
-                let total: f64 = c.iter().map(|&x| x as f64).sum();
-                if total > 0.0 {
-                    let distinct = c.iter().filter(|&&x| x > 0).count() as f64;
-                    let lambda = total / (total + self.base.gamma * distinct);
-                    for (i, slot) in p.iter_mut().enumerate() {
-                        *slot = lambda * (c[i] as f64 / total) + (1.0 - lambda) * *slot;
-                    }
-                }
-            }
-        }
-        out.copy_from_slice(&p);
+        let visited = interpolate(&self.fork.rows(), &self.fork.history, self.gamma, out);
+        self.fork.cost.work_units += visited;
     }
 
     fn cost(&self) -> InferenceCost {
-        self.cost
+        self.fork.cost
     }
 }
 
 impl LanguageModel for NGramLm {
     fn vocab_size(&self) -> usize {
-        self.vocab_size
+        self.state.vocab_size()
     }
 
     fn reset(&mut self) {
-        for m in &mut self.counts {
-            m.clear();
-        }
-        self.history.clear();
-        self.cost = InferenceCost::default();
+        self.state.reset();
     }
 
     fn observe(&mut self, token: TokenId, generated: bool) {
-        assert!((token as usize) < self.vocab_size, "token {token} out of range");
-        // Update every order's counts for the transition (context → token).
-        for k in 0..=self.max_order.min(self.history.len()) {
-            let key = self.key(k);
-            let slot = self.counts[k].entry(key).or_insert_with(|| vec![0u32; self.vocab_size]);
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.max_order {
-            self.history.remove(0);
-        }
-        if generated {
-            self.cost.generated_tokens += 1;
-        } else {
-            self.cost.prompt_tokens += 1;
-        }
+        self.state.observe(token, generated);
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.vocab_size, "distribution buffer size");
-        let v = self.vocab_size as f64;
-        // Order 0 base: unigram with add-one smoothing toward uniform.
-        let mut p: Vec<f64> = {
-            let zero = self.counts[0].get(&0);
-            self.cost.work_units += 1;
-            match zero {
-                Some(c) => {
-                    let total: f64 = c.iter().map(|&x| x as f64).sum();
-                    c.iter().map(|&x| (x as f64 + 1.0) / (total + v)).collect()
-                }
-                None => vec![1.0 / v; self.vocab_size],
-            }
-        };
-        // Interpolate higher orders: λ = n / (n + gamma · distinct).
-        let deepest = self.max_order.min(self.history.len());
-        for k in 1..=deepest {
-            let key = self.key(k);
-            self.cost.work_units += 1;
-            if let Some(c) = self.counts[k].get(&key) {
-                let total: f64 = c.iter().map(|&x| x as f64).sum();
-                if total > 0.0 {
-                    let distinct = c.iter().filter(|&&x| x > 0).count() as f64;
-                    let lambda = total / (total + self.gamma * distinct);
-                    for (i, slot) in p.iter_mut().enumerate() {
-                        *slot = lambda * (c[i] as f64 / total) + (1.0 - lambda) * *slot;
-                    }
-                }
-            }
-            // Missing context: keep the lower-order estimate (full back-off).
-        }
-        out.copy_from_slice(&p);
+        let s = &mut self.state;
+        s.cost.work_units += interpolate(&s.table, &s.history, self.gamma, out);
     }
 
     fn cost(&self) -> InferenceCost {
-        self.cost
+        self.state.cost
     }
 
     fn name(&self) -> &str {
@@ -408,5 +310,44 @@ mod tests {
     fn name_is_reported() {
         let m = NGramLm::new(3, 2, 0.5, "my-model");
         assert_eq!(m.name(), "my-model");
+    }
+
+    /// A fitted table's heap stays within a constant factor of what its
+    /// contexts need, `contexts × (vocab × 4 + 16)` bytes, plus a small
+    /// per-order floor. The factor follows from the growth policy: the
+    /// arena at most doubles a row's `vocab × 4 + 8` bytes (its first
+    /// block grows by doubling, later blocks are full-size and only the
+    /// last is partly filled), and an index doubled at half load holds
+    /// under 4 slots of 4 bytes per context: under
+    /// `vocab × 8 + 32 = 2 × (vocab × 4 + 16)`.
+    /// A fixed preallocation breaks the floor on the empty prompt.
+    #[test]
+    fn footprint_follows_content() {
+        const FACTOR: usize = 2;
+        const FLOOR_PER_ORDER: usize = 256;
+        let lcg = |seed: u64, len: usize, vocab: u64| -> Vec<TokenId> {
+            let mut state = seed;
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((state >> 33) % vocab) as TokenId
+                })
+                .collect()
+        };
+        let sax = lcg(3, 160, 7);
+        let digits = lcg(7, if cfg!(miri) { 400 } else { 15_600 }, 13);
+        for (vocab, prompt) in [(13, &[][..]), (7, &sax[..]), (13, &digits[..])] {
+            let mut m = NGramLm::new(vocab, 10, 0.25, "t");
+            feed(&mut m, prompt);
+            let table = &m.state.table;
+            let contexts = table.contexts();
+            let bound = FACTOR * contexts * (vocab * 4 + 16) + FLOOR_PER_ORDER * 11;
+            let bytes = table.heap_bytes();
+            assert!(
+                bytes <= bound,
+                "{} tokens, {contexts} contexts: {bytes} B > {bound} B",
+                prompt.len()
+            );
+        }
     }
 }

@@ -11,24 +11,82 @@
 //! PPM variants drive the best adaptive text compressors; here the model
 //! serves as an ablation backend — same interface, different inductive
 //! bias (hard back-off vs soft mixing).
-
-use std::collections::HashMap;
+//!
+//! Counts live in a flat `CountTable` (`counts.rs`), the same layout as
+//! `NGramLm`. The escape/exclusion math is one function, `escape`, which
+//! the mutable [`PpmLm`] runs on its own table and each [`PpmSession`]
+//! runs on its overlay-over-base view.
 
 use crate::cost::InferenceCost;
+use crate::counts::{CountState, ForkState, History, Rows};
 use crate::model::{DecodeSession, FrozenLm, LanguageModel};
-use crate::ngram::radix_key;
 use crate::vocab::TokenId;
+
+/// Writes the PPM-C next-token distribution over `rows` after `history`
+/// into `out`, using `excluded` (one flag per token) as scratch. Returns
+/// the orders visited.
+fn escape(rows: &impl Rows, history: &History, excluded: &mut [bool], out: &mut [f64]) -> u64 {
+    assert_eq!(out.len(), rows.width(), "distribution buffer size");
+    out.fill(0.0);
+    excluded.fill(false);
+    // Mass still to distribute (product of escapes so far).
+    let mut remaining = 1.0f64;
+    let mut visited = 0;
+    for (k, &key) in history.keys().iter().enumerate().rev() {
+        visited += 1;
+        let Some(c) = rows.row(k, key) else {
+            continue; // unseen context: free escape to the next order
+        };
+        // Counts over non-excluded symbols only (PPM exclusion).
+        let mut total = 0u64;
+        let mut distinct = 0u64;
+        for (&cnt, &e) in c.iter().zip(&*excluded) {
+            if cnt > 0 && !e {
+                total += u64::from(cnt);
+                distinct += 1;
+            }
+        }
+        if total == 0 {
+            continue;
+        }
+        // Method C: escape mass = distinct / (total + distinct).
+        let denom = (total + distinct) as f64;
+        for ((o, &cnt), e) in out.iter_mut().zip(c).zip(excluded.iter_mut()) {
+            if cnt > 0 && !*e {
+                *o += remaining * cnt as f64 / denom;
+                *e = true;
+            }
+        }
+        remaining *= distinct as f64 / denom;
+        if remaining < 1e-15 {
+            break;
+        }
+    }
+    // Order -1: uniform over the symbols no order accounted for.
+    let free = excluded.iter().filter(|&&e| !e).count();
+    if free > 0 {
+        let share = remaining / free as f64;
+        for (o, &e) in out.iter_mut().zip(&*excluded) {
+            if !e {
+                *o += share;
+            }
+        }
+    }
+    // Normalize: with every symbol seen the leftover escape mass is
+    // dropped; otherwise this guards against rounding drift.
+    let total: f64 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= total;
+    }
+    visited
+}
 
 /// PPM-C language model. See the module docs.
 #[derive(Debug, Clone)]
 pub struct PpmLm {
-    vocab_size: usize,
-    max_order: usize,
-    /// `counts[k]` maps a radix-encoded `k`-token context to next-token
-    /// count vectors (same layout as `NGramLm`).
-    counts: Vec<HashMap<u64, Vec<u32>>>,
-    history: Vec<TokenId>,
-    cost: InferenceCost,
+    state: CountState,
+    /// Per-token exclusion flags, scratch for `escape`.
+    excluded: Vec<bool>,
     name: String,
 }
 
@@ -38,21 +96,8 @@ impl PpmLm {
     /// # Panics
     /// If `vocab_size == 0` or the radix key would overflow 64 bits.
     pub fn new(vocab_size: usize, max_order: usize, name: impl Into<String>) -> Self {
-        assert!(vocab_size > 0, "vocab_size must be positive");
-        let bits = (vocab_size as f64).log2().ceil().max(1.0) * max_order as f64;
-        assert!(bits <= 63.0, "max_order {max_order} too deep for vocab {vocab_size}");
-        Self {
-            vocab_size,
-            max_order,
-            counts: vec![HashMap::new(); max_order + 1],
-            history: Vec::with_capacity(max_order),
-            cost: InferenceCost::default(),
-            name: name.into(),
-        }
-    }
-
-    fn key(&self, k: usize) -> u64 {
-        radix_key(&self.history, k, self.vocab_size)
+        let state = CountState::new(vocab_size, max_order);
+        Self { state, excluded: vec![false; vocab_size], name: name.into() }
     }
 
     /// Freezes the model after prompt conditioning; decode via
@@ -70,11 +115,11 @@ pub struct FrozenPpm {
 
 impl FrozenLm for FrozenPpm {
     fn vocab_size(&self) -> usize {
-        self.base.vocab_size
+        self.base.state.vocab_size()
     }
 
     fn prompt_cost(&self) -> InferenceCost {
-        self.base.cost
+        self.base.state.cost
     }
 
     fn name(&self) -> &str {
@@ -90,7 +135,7 @@ impl FrozenLm for FrozenPpm {
         // observe path reaches the exact state a from-scratch fit on the
         // extended prompt would (same counts, history, cost).
         for &t in tokens {
-            self.base.observe(t, false);
+            self.base.state.observe(t, false);
         }
         true
     }
@@ -98,214 +143,60 @@ impl FrozenLm for FrozenPpm {
 
 /// One sample's decode cursor over a frozen [`PpmLm`].
 ///
-/// Copy-on-write: contexts touched by this session's generated tokens get
-/// a private count vector (cloned from the base on first touch); untouched
+/// Contexts touched by this session's generated tokens get a private row
+/// in an overlay table (copied from the base on first touch); untouched
 /// contexts read the frozen counts directly.
 #[derive(Debug)]
 pub struct PpmSession<'a> {
-    base: &'a PpmLm,
-    overlay: Vec<HashMap<u64, Vec<u32>>>,
-    history: Vec<TokenId>,
-    cost: InferenceCost,
+    fork: ForkState<'a>,
+    excluded: Vec<bool>,
 }
 
 impl<'a> PpmSession<'a> {
     pub(crate) fn new(base: &'a PpmLm) -> Self {
-        Self {
-            base,
-            overlay: vec![HashMap::new(); base.max_order + 1],
-            history: base.history.clone(),
-            cost: InferenceCost::default(),
-        }
-    }
-
-    fn counts(&self, k: usize, key: u64) -> Option<&Vec<u32>> {
-        self.overlay[k].get(&key).or_else(|| self.base.counts[k].get(&key))
+        Self { fork: ForkState::new(&base.state), excluded: vec![false; base.state.vocab_size()] }
     }
 }
 
 impl DecodeSession for PpmSession<'_> {
     fn vocab_size(&self) -> usize {
-        self.base.vocab_size
+        self.fork.vocab_size()
     }
 
     fn observe(&mut self, token: TokenId) {
-        assert!((token as usize) < self.base.vocab_size, "token {token} out of range");
-        for k in 0..=self.base.max_order.min(self.history.len()) {
-            let key = radix_key(&self.history, k, self.base.vocab_size);
-            let slot = self.overlay[k].entry(key).or_insert_with(|| {
-                self.base.counts[k]
-                    .get(&key)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0u32; self.base.vocab_size])
-            });
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.base.max_order {
-            self.history.remove(0);
-        }
-        self.cost.generated_tokens += 1;
+        self.fork.observe(token);
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.base.vocab_size, "distribution buffer size");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let mut excluded = vec![false; self.base.vocab_size];
-        let mut remaining = 1.0f64;
-        let deepest = self.base.max_order.min(self.history.len());
-        for k in (0..=deepest).rev() {
-            let key = radix_key(&self.history, k, self.base.vocab_size);
-            self.cost.work_units += 1;
-            let Some(c) = self.counts(k, key) else {
-                continue; // unseen context: free escape to the next order
-            };
-            let mut total = 0u64;
-            let mut distinct = 0u64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    total += cnt as u64;
-                    distinct += 1;
-                }
-            }
-            if total == 0 {
-                continue;
-            }
-            let denom = (total + distinct) as f64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    out[i] += remaining * cnt as f64 / denom;
-                    excluded[i] = true;
-                }
-            }
-            remaining *= distinct as f64 / denom;
-            if remaining < 1e-15 {
-                break;
-            }
-        }
-        let free = excluded.iter().filter(|&&e| !e).count();
-        if free > 0 {
-            let share = remaining / free as f64;
-            for (o, &e) in out.iter_mut().zip(&excluded) {
-                if !e {
-                    *o += share;
-                }
-            }
-        } else {
-            let total: f64 = out.iter().sum();
-            for o in out.iter_mut() {
-                *o /= total;
-            }
-            return;
-        }
-        let total: f64 = out.iter().sum();
-        for o in out.iter_mut() {
-            *o /= total;
-        }
+        let visited = escape(&self.fork.rows(), &self.fork.history, &mut self.excluded, out);
+        self.fork.cost.work_units += visited;
     }
 
     fn cost(&self) -> InferenceCost {
-        self.cost
+        self.fork.cost
     }
 }
 
 impl LanguageModel for PpmLm {
     fn vocab_size(&self) -> usize {
-        self.vocab_size
+        self.state.vocab_size()
     }
 
     fn reset(&mut self) {
-        for m in &mut self.counts {
-            m.clear();
-        }
-        self.history.clear();
-        self.cost = InferenceCost::default();
+        self.state.reset();
     }
 
     fn observe(&mut self, token: TokenId, generated: bool) {
-        assert!((token as usize) < self.vocab_size, "token {token} out of range");
-        for k in 0..=self.max_order.min(self.history.len()) {
-            let key = self.key(k);
-            let slot = self.counts[k].entry(key).or_insert_with(|| vec![0u32; self.vocab_size]);
-            slot[token as usize] += 1;
-            self.cost.work_units += 1;
-        }
-        self.history.push(token);
-        if self.history.len() > self.max_order {
-            self.history.remove(0);
-        }
-        if generated {
-            self.cost.generated_tokens += 1;
-        } else {
-            self.cost.prompt_tokens += 1;
-        }
+        self.state.observe(token, generated);
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.vocab_size, "distribution buffer size");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let mut excluded = vec![false; self.vocab_size];
-        // Mass still to distribute (product of escapes so far).
-        let mut remaining = 1.0f64;
-        let deepest = self.max_order.min(self.history.len());
-        for k in (0..=deepest).rev() {
-            let key = self.key(k);
-            self.cost.work_units += 1;
-            let Some(c) = self.counts[k].get(&key) else {
-                continue; // unseen context: free escape to the next order
-            };
-            // Counts over non-excluded symbols only (PPM exclusion).
-            let mut total = 0u64;
-            let mut distinct = 0u64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    total += cnt as u64;
-                    distinct += 1;
-                }
-            }
-            if total == 0 {
-                continue;
-            }
-            // Method C: escape mass = distinct / (total + distinct).
-            let denom = (total + distinct) as f64;
-            for (i, &cnt) in c.iter().enumerate() {
-                if cnt > 0 && !excluded[i] {
-                    out[i] += remaining * cnt as f64 / denom;
-                    excluded[i] = true;
-                }
-            }
-            remaining *= distinct as f64 / denom;
-            if remaining < 1e-15 {
-                break;
-            }
-        }
-        // Order -1: uniform over still-excluded-free symbols.
-        let free = excluded.iter().filter(|&&e| !e).count();
-        if free > 0 {
-            let share = remaining / free as f64;
-            for (o, &e) in out.iter_mut().zip(&excluded) {
-                if !e {
-                    *o += share;
-                }
-            }
-        } else {
-            // All symbols seen: renormalize (remaining mass is tiny).
-            let total: f64 = out.iter().sum();
-            for o in out.iter_mut() {
-                *o /= total;
-            }
-            return;
-        }
-        // Normalize defensively against rounding drift.
-        let total: f64 = out.iter().sum();
-        for o in out.iter_mut() {
-            *o /= total;
-        }
+        let s = &mut self.state;
+        s.cost.work_units += escape(&s.table, &s.history, &mut self.excluded, out);
     }
 
     fn cost(&self) -> InferenceCost {
-        self.cost
+        self.state.cost
     }
 
     fn name(&self) -> &str {

@@ -526,3 +526,136 @@ proptest! {
         prop_assert_eq!(cache.stats().refits, 1);
     }
 }
+
+/// One step of a 64-bit LCG, returning its high bits.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// `width` random symbols of `alphabet`.
+fn sax_group(state: &mut u64, alphabet: SaxAlphabet, width: usize) -> String {
+    (0..width).map(|_| alphabet.symbol(lcg(state) as usize % alphabet.size())).collect()
+}
+
+/// LM-like SAX continuation text. Mode 0 is well-formed: `separators`
+/// groups of `dims` symbols, each closed by a comma. The other modes corrupt
+/// it the way a sampled continuation can go wrong.
+fn lm_like_sax_text(
+    state: &mut u64,
+    alphabet: SaxAlphabet,
+    dims: usize,
+    separators: usize,
+    mode: usize,
+    junk: &str,
+) -> String {
+    let well_formed: String =
+        (0..separators).map(|_| sax_group(state, alphabet, dims) + ",").collect();
+    match mode {
+        0 => well_formed,
+        // Empty.
+        1 => String::new(),
+        // Truncated at any character.
+        2 => well_formed.chars().take(lcg(state) as usize % (well_formed.len() + 1)).collect(),
+        // Overlong: extra groups past the stop rule.
+        3 => {
+            let extra = 1 + lcg(state) % 6;
+            well_formed
+                + &(0..extra).map(|_| sax_group(state, alphabet, dims) + ",").collect::<String>()
+        }
+        // A separator storm around one odd-width group.
+        4 => {
+            let (storm, width) = (1 + lcg(state) as usize % 12, 1 + lcg(state) as usize % 4);
+            ",".repeat(storm) + " , ,," + &sax_group(state, alphabet, width)
+        }
+        // Symbols swapped for characters outside (most) alphabets.
+        5 => {
+            let bad = ['z', '9', 'A', '~', '-', '.', '{', '/'];
+            well_formed
+                .chars()
+                .map(|c| {
+                    if c != ',' && lcg(state).is_multiple_of(3) {
+                        bad[lcg(state) as usize % bad.len()]
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        }
+        // Half a continuation, then arbitrary and non-ASCII text.
+        _ => well_formed.chars().take(well_formed.len() / 2).collect::<String>() + junk + "é,ß,💥",
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The SAX decode boundary is total on LM-like text: for alphabetic
+    /// and digital codecs fitted on generated histories, decoding any
+    /// continuation (empty, truncated, overlong, separator storms,
+    /// out-of-alphabet or non-ASCII symbols) yields `dims x horizon`
+    /// finite values, and the validators report only typed text defects
+    /// (none for a well-formed continuation). The calls are direct, so a
+    /// panic fails the test instead of being caught by attempt isolation.
+    #[test]
+    fn sax_decode_boundary_is_total(
+        digital in any::<bool>(),
+        raw_size in 0usize..25,
+        dims in 1usize..4,
+        segment in 1usize..7,
+        len in 12usize..60,
+        horizon in 1usize..30,
+        mode in 0usize..7,
+        seed in any::<u64>(),
+        junk in any::<String>(),
+    ) {
+        use multicast_suite::core::codec::{Codec, SaxCodec};
+        use multicast_suite::core::robust::{validate_decoded, validate_text, SampleDefect};
+
+        let kind = if digital { SaxAlphabetKind::Digital } else { SaxAlphabetKind::Alphabetic };
+        let alphabet = SaxAlphabet::new(kind, 2 + raw_size % (kind.max_size() - 1)).unwrap();
+        let mut state = seed;
+        let columns: Vec<Vec<f64>> = (0..dims)
+            .map(|d| {
+                let wave = |t: usize| (t as f64 / (3.0 + d as f64)).sin() * 10.0;
+                (0..len).map(|t| wave(t) + (lcg(&mut state) % 100) as f64 / 25.0).collect()
+            })
+            .collect();
+        let names = (0..dims).map(|d| format!("c{d}")).collect();
+        let series = MultivariateSeries::from_columns(names, columns).unwrap();
+        let sax = SaxConfig { segment_len: segment, alphabet };
+        let codec = SaxCodec { sax }.fit(&series).unwrap();
+        let expect = codec.expectations(horizon);
+        let text = lm_like_sax_text(&mut state, alphabet, dims, expect.separators, mode, &junk);
+
+        let values = codec.decode(&text, horizon).unwrap();
+        prop_assert_eq!(values.len(), dims);
+        for col in &values {
+            prop_assert!(col.len() == horizon && col.iter().all(|v| v.is_finite()));
+        }
+        prop_assert_eq!(validate_decoded(&values, &expect), vec![]);
+        let shape = validate_decoded(&values[..dims - 1], &expect);
+        prop_assert!(matches!(shape[..], [SampleDefect::ShapeMismatch { .. }]), "{:?}", shape);
+
+        let groups = text.split(',').map(str::trim).filter(|g| !g.is_empty()).count();
+        let defects = validate_text(&text, &expect);
+        for defect in &defects {
+            let typed = match *defect {
+                SampleDefect::Truncated { expected, got } => {
+                    got < expected && expected == expect.separators
+                }
+                SampleDefect::WrongGroupWidth { group, expected, got } => {
+                    group < groups && expected == dims && got != dims
+                }
+                SampleDefect::OutOfBandCode { group, symbol } => {
+                    group < groups && alphabet.index(symbol).is_none()
+                }
+                _ => false,
+            };
+            prop_assert!(typed, "mode {}: {:?} for {:?}", mode, defect, text);
+        }
+        if mode == 0 {
+            prop_assert_eq!(defects, vec![], "well-formed text {:?}", text);
+        }
+    }
+}
