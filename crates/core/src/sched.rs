@@ -8,7 +8,8 @@
 //!
 //! - **No lost wakeups** — a [`TaskQueue::push`] racing a sleeping
 //!   [`TaskQueue::next`] always wakes it; a retry pushed by the last
-//!   running worker cannot strand a sleeper.
+//!   running worker cannot strand a sleeper, and neither can the draws a
+//!   finished context fit releases with [`TaskQueue::push_front`].
 //! - **No lost wakeups on shed** — a rejected [`TaskQueue::offer`]
 //!   settles its unit, and that settlement wakes sleepers exactly like a
 //!   completed task would: capacity rejection cannot strand a worker.
@@ -130,6 +131,22 @@ impl<T> TaskQueue<T> {
         self.cv.notify_one();
     }
 
+    /// Enqueues `tasks` at the **front** of the queue, in order, waking
+    /// every sleeping worker: work that a finished task unlocks (a context
+    /// fit releasing its draws) runs before older queued work. Never
+    /// bounded, like [`push`](TaskQueue::push): the tasks belong to
+    /// already-admitted settlement units.
+    pub fn push_front(&self, tasks: Vec<T>) {
+        if tasks.is_empty() {
+            return;
+        }
+        let mut st = self.state.lock().expect("queue lock");
+        for task in tasks.into_iter().rev() {
+            st.tasks.push_front(task);
+        }
+        self.cv.notify_all();
+    }
+
     /// Offers a task against the capacity bound: `false` means the queue
     /// is full and the task was **not** admitted — the caller must shed
     /// it and settle its unit itself (typically via
@@ -246,6 +263,21 @@ mod tests {
         // 64 originals; the 8 multiples of 8 each re-queued one retry that
         // settled in their place.
         assert_eq!(done.load(Ordering::Relaxed), 64);
+        assert_eq!(queue.next(), None);
+    }
+
+    #[test]
+    fn push_front_runs_released_work_first_in_order() {
+        let queue = TaskQueue::new(vec!["fit", "next-fit"], 4);
+        assert_eq!(queue.next(), Some("fit"));
+        queue.push_front(vec!["draw-0", "draw-1"]);
+        queue.settle_one();
+        assert_eq!(queue.next(), Some("draw-0"));
+        assert_eq!(queue.next(), Some("draw-1"));
+        assert_eq!(queue.next(), Some("next-fit"));
+        for _ in 0..3 {
+            queue.settle_one();
+        }
         assert_eq!(queue.next(), None);
     }
 

@@ -23,12 +23,20 @@
 //!   incremental refit (bit-identical to a from-scratch fit, so warmth
 //!   can never change a forecast). Served contexts stay pinned until the
 //!   flush boundary, so eviction can never free a context a live decode
-//!   session is forked from. All fits route through the single
-//!   `fit_context` seam — the `no-direct-fit` rule keeps it that
-//!   way.
-//! - **A bounded worker pool** fans `(request, sample, attempt)` tasks
-//!   across `workers` threads. Each task forks a throwaway session off the
-//!   request's context and runs the same [`execute_attempt`] the
+//!   session is forked from. The cache is consulted before any worker
+//!   starts, in submission order, and a miss is fitted and inserted right
+//!   there, on the calling thread: a cached context outlives the flush,
+//!   so it is allocated by the long-lived thread. All fits route through
+//!   the single `fit_context` seam — the `no-direct-fit` rule keeps it
+//!   that way.
+//! - **A bounded worker pool** drains one task queue over `workers`
+//!   threads. Each distinct context served without a cache is a *fit
+//!   task*, seeded ahead of every draw. A finished fit stores the metered
+//!   backend and releases its requests' `(request, sample, attempt)`
+//!   *draw tasks* at the front of the queue, so a context's samples run
+//!   before the next fit starts; the worker that settles the context's
+//!   last sample drops the fitted model. Each draw forks a throwaway
+//!   session off the context and runs the same [`execute_attempt`] the
 //!   sequential engine runs — outcomes depend only on the frozen state
 //!   and the sampler seed, never on scheduling, so forecasts are
 //!   bit-identical to [`crate::engine::ForecastEngine::run`] regardless
@@ -36,7 +44,8 @@
 //! - **Per-request fault isolation** — every request folds outcomes into
 //!   its own [`RobustProgress`] and resolves through the engine's
 //!   median/quorum/fallback ladder. A panicking or defective sample in one
-//!   request never poisons another.
+//!   request never poisons another, and a failing or panicking context
+//!   fit fails only the requests that share that context.
 //! - **Cost attribution** — the prompt is charged once per frozen context
 //!   (to the first request that needed it); generated tokens are charged
 //!   to the request whose sample drew them. Each context also carries a
@@ -82,7 +91,7 @@ use crate::overload::{
 };
 use crate::pipeline::ContinuationSpec;
 use crate::robust::{
-    execute_attempt, virtual_index, AttemptDisposition, AttemptOutcome, DefectClass,
+    execute_attempt, panic_message, virtual_index, AttemptDisposition, AttemptOutcome, DefectClass,
     FallbackPolicy, ForecastReport, RobustProgress, SampleDefect, SampleExpectations, SampleSource,
 };
 use crate::sched::TaskQueue;
@@ -208,7 +217,8 @@ pub struct RequestId(pub usize);
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads draining the sample-task queue (clamped to ≥ 1).
+    /// Worker threads draining the task queue — context fits and sample
+    /// draws (clamped to ≥ 1).
     pub workers: usize,
     /// Requests one flush admits; the excess is shed by
     /// (priority, content fingerprint) — an order-invariant cut, so shed
@@ -330,17 +340,38 @@ struct ContextKey {
     vocab: Vocab,
 }
 
+/// One distinct context of a flush, as prepare resolved it.
 struct Context {
-    backend: PreparedBackend,
+    key: ContextKey,
     ledger: Arc<CostLedger>,
     /// Content fingerprint (the `ctx` trace key).
     fp: u64,
     /// Request index charged the prompt pass (first to need the context).
     owner: usize,
-    requests: usize,
+    /// Every request that joined, in submission order, with its trace key.
+    joined: Vec<(usize, u64)>,
+    /// The prompt a fit task conditions the backend on; `None` when the
+    /// context went through the cross-batch cache in prepare.
+    spec: Option<ContinuationSpec>,
+    /// The backend prepare got through the cache, until its draws are
+    /// seeded.
+    warm: Option<PreparedBackend>,
     /// The `(family, fingerprint)` pin held in the cross-batch cache,
     /// released at the flush boundary (`None` when serving cold).
     pin: Option<(u64, u64)>,
+    /// What the fit left for the flush boundary.
+    fit: Mutex<Fit>,
+}
+
+/// What a context's fit leaves for the flush boundary. The fitted model
+/// itself travels with the draws it releases, so it lives exactly as
+/// long as the context has samples left to settle.
+#[derive(Default)]
+struct Fit {
+    /// The prompt pass's cost.
+    prompt_cost: InferenceCost,
+    /// Why the fit failed; every request of the context fails with it.
+    failed: Option<TsError>,
 }
 
 /// A request prepared for scheduling: fitted codec, expectations, and the
@@ -488,6 +519,26 @@ struct Task {
     attempt: usize,
 }
 
+/// A unit of work on the serve queue.
+enum Job {
+    /// Fit the context at this index, then release its requests' draws.
+    Fit(usize),
+    /// Run one `(request, sample, attempt)` draw on the context's backend.
+    /// Draws hold the fitted model, so none can exist before its fit, and
+    /// the one that settles a fit task's last sample frees it.
+    Draw(Task, Arc<PreparedBackend>),
+}
+
+/// The first-attempt draws of `request`'s samples.
+fn draws(
+    request: usize,
+    samples: usize,
+    backend: &Arc<PreparedBackend>,
+) -> impl Iterator<Item = Job> + '_ {
+    (0..samples)
+        .map(move |sample| Job::Draw(Task { request, sample, attempt: 0 }, Arc::clone(backend)))
+}
+
 /// What [`fit_context`] resolves a spec to: the metered backend, the
 /// context's trace fingerprint (epoch-qualified when the context was
 /// produced by incremental refit) and the `(family, fingerprint)` cache
@@ -500,15 +551,16 @@ type FittedContext = (PreparedBackend, u64, Option<(u64, u64)>);
 /// everywhere else in this module, so every serve-path fit is forced
 /// through here — where cache reuse, pinning and metering are handled
 /// uniformly. The cache lookup runs inside a `cache_lookup` span keyed by
-/// the context fingerprint; cache warmth depends on flush history, so
-/// that span is scheduler-scoped (tick-minted id, sidecar export only).
+/// the context fingerprint `ctx_fp`; cache warmth depends on flush
+/// history, so that span is scheduler-scoped (tick-minted id, sidecar
+/// export only).
 fn fit_context(
     spec: &ContinuationSpec,
+    ctx_fp: u64,
     cache: Option<&LmCache>,
     ledger: Arc<CostLedger>,
     obs: &Arc<dyn Recorder>,
 ) -> Result<FittedContext> {
-    let ctx_fp = spec_fingerprint(spec);
     let Some(cache) = cache else {
         let backend = PreparedBackend::fit(spec)?.meter(ledger, obs.clone(), ctx_fp);
         return Ok((backend, ctx_fp, None));
@@ -568,20 +620,58 @@ fn fit_context(
     Ok((backend, eff_fp, Some((family, ctx_fp))))
 }
 
-/// Fits codecs and contexts for a batch; requests that fail to prepare
-/// (codec or backend fit) become [`Prepared::Failed`] without touching the
-/// others, and admission rejections pass through as
-/// [`Prepared::Rejected`]. Emits `context_fit` (first fit),
-/// `fit_dedup_hit` (reuse) and `context_join` (every resolved request)
-/// trace events.
+/// Emits a context's `context_fit` span and event once its backend
+/// exists. The context fingerprint is only final once the cache has
+/// answered and the fit has succeeded, so the span opens
+/// *retroactively*: the caller stamps `(start, wall)` before the work and
+/// the open is backdated to them. A failed fit emits nothing — no
+/// orphaned open half.
+fn record_fit(obs: &dyn Recorder, ctx_fp: u64, start: u64, wall: u64, prompt: InferenceCost) {
+    if !obs.enabled() {
+        return;
+    }
+    obs.span_at(SpanEvent::open(ctx_fp, SpanKind::ContextFit), start, wall);
+    obs.span(SpanEvent::close(ctx_fp, SpanKind::ContextFit));
+    obs.record(TraceEvent {
+        req: 0,
+        ctx: ctx_fp,
+        kind: EventKind::ContextFit {
+            prompt_tokens: prompt.prompt_tokens,
+            work_units: prompt.work_units,
+        },
+    });
+}
+
+/// Emits the `fit_dedup_hit` (every request but the owner) and
+/// `context_join` events of one request joining `ctx`.
+fn record_join(obs: &dyn Recorder, ctx: &Context, request: usize, fp: u64) {
+    if !obs.enabled() {
+        return;
+    }
+    if request != ctx.owner {
+        obs.record(TraceEvent { req: fp, ctx: ctx.fp, kind: EventKind::FitDedupHit });
+    }
+    obs.record(TraceEvent { req: fp, ctx: ctx.fp, kind: EventKind::ContextJoin });
+}
+
+/// Fits codecs and resolves contexts for a batch — the serial,
+/// order-invariant part of a flush: codec fits, context keys and dedup,
+/// the choice of each context's owner, and the cross-batch cache (a hit,
+/// a refit, or a miss fitted and inserted here). Without a cache, prompt
+/// fits are left to fit tasks on the workers. Requests that fail to
+/// prepare (codec fit, cache path) become [`Prepared::Failed`] without
+/// touching the others, and admission rejections pass through as
+/// [`Prepared::Rejected`]. Emits the `context_fit`, `fit_dedup_hit` and
+/// `context_join` trace events of the contexts resolved here; a fit task
+/// emits those of the context it fits.
 fn prepare(
     slots: Vec<Admission>,
     config: &ServeConfig,
     overload: &OverloadState,
     cache: Option<&LmCache>,
     obs: &Arc<dyn Recorder>,
-) -> (Vec<Prepared>, Vec<(ContextKey, Context)>) {
-    let mut contexts: Vec<(ContextKey, Context)> = Vec::new();
+) -> (Vec<Prepared>, Vec<Context>) {
+    let mut contexts: Vec<Context> = Vec::new();
     let mut states = Vec::with_capacity(slots.len());
     for (i, slot) in slots.into_iter().enumerate() {
         let (request, fp) = match slot {
@@ -605,59 +695,55 @@ fn prepare(
             let codec = request.codec.build(&request.config);
             let fitted = codec.fit(&request.train)?;
             let spec = engine.continuation_spec(fitted.as_ref(), request.horizon);
+            let (separators, max_tokens) = (spec.separators, spec.max_tokens);
             let key = ContextKey {
                 prompt: spec.prompt.clone(),
                 preset: spec.preset,
                 allowed_chars: spec.allowed_chars.clone(),
                 vocab: spec.vocab.clone(),
             };
-            let context = match contexts.iter().position(|(k, _)| *k == key) {
-                Some(pos) => {
-                    if obs.enabled() {
-                        obs.record(TraceEvent {
-                            req: fp,
-                            ctx: contexts[pos].1.fp,
-                            kind: EventKind::FitDedupHit,
-                        });
-                    }
-                    pos
-                }
+            let context = match contexts.iter().position(|c| c.key == key) {
+                Some(pos) => pos,
                 None => {
-                    let ledger = Arc::new(CostLedger::new());
-                    // The context fingerprint is only known once the fit
-                    // resolves, so the `context_fit` span opens
-                    // *retroactively*: stamp (t, wall) before the fit and
-                    // backdate the open to them afterwards. A failed fit
-                    // emits nothing — no orphaned open half.
-                    let fit_start = obs.now();
-                    let fit_wall = obs.wall();
-                    let (backend, ctx_fp, pin) = fit_context(&spec, cache, ledger.clone(), obs)?;
-                    if obs.enabled() {
-                        let open = SpanEvent::open(ctx_fp, SpanKind::ContextFit);
-                        obs.span_at(open, fit_start, fit_wall);
-                        obs.span(SpanEvent::close(ctx_fp, SpanKind::ContextFit));
-                        let prompt = backend.prompt_cost();
-                        obs.record(TraceEvent {
-                            req: 0,
-                            ctx: ctx_fp,
-                            kind: EventKind::ContextFit {
-                                prompt_tokens: prompt.prompt_tokens,
-                                work_units: prompt.work_units,
-                            },
-                        });
-                    }
-                    contexts.push((
+                    let mut ctx = Context {
                         key,
-                        Context { backend, ledger, fp: ctx_fp, owner: i, requests: 0, pin },
-                    ));
+                        ledger: Arc::new(CostLedger::new()),
+                        fp: spec_fingerprint(&spec),
+                        owner: i,
+                        joined: Vec::new(),
+                        spec: None,
+                        warm: None,
+                        pin: None,
+                        fit: Mutex::new(Fit::default()),
+                    };
+                    if cache.is_some() {
+                        // A cached context outlives the flush, so it is
+                        // fitted here, by the long-lived calling thread:
+                        // fitted on a per-flush worker it would sit in
+                        // that thread's malloc arena for as long as the
+                        // cache keeps it.
+                        let (start, wall) = (obs.now(), obs.wall());
+                        let ledger = Arc::clone(&ctx.ledger);
+                        let (backend, fp, pin) = fit_context(&spec, ctx.fp, cache, ledger, obs)?;
+                        let prompt_cost = backend.prompt_cost();
+                        record_fit(obs.as_ref(), fp, start, wall, prompt_cost);
+                        (ctx.fp, ctx.pin, ctx.warm) = (fp, pin, Some(backend));
+                        ctx.fit = Mutex::new(Fit { prompt_cost, failed: None });
+                    } else {
+                        ctx.spec = Some(spec);
+                    }
+                    contexts.push(ctx);
                     contexts.len() - 1
                 }
             };
-            contexts[context].1.requests += 1;
-            let ctx_fp = contexts[context].1.fp;
-            if obs.enabled() {
-                obs.record(TraceEvent { req: fp, ctx: ctx_fp, kind: EventKind::ContextJoin });
+            let ctx = &mut contexts[context];
+            ctx.joined.push((i, fp));
+            // A fit task emits its requests' joins once the fit succeeds:
+            // a failed fit joins nobody.
+            if ctx.spec.is_none() {
+                record_join(obs.as_ref(), ctx, i, fp);
             }
+            let ctx_fp = ctx.fp;
             let samples = request.config.samples.max(1);
             let progress = RobustProgress::new(samples, request.config.robust)?;
             let breaker = config.breaker.map(|_| overload.breaker(request.config.preset));
@@ -665,8 +751,8 @@ fn prepare(
                 request: request.clone(),
                 expect: fitted.expectations(request.horizon),
                 fitted,
-                separators: spec.separators,
-                max_tokens: spec.max_tokens,
+                separators,
+                max_tokens,
                 context,
                 samples,
                 progress: Mutex::new(progress),
@@ -698,16 +784,15 @@ fn prepare(
 /// and zero-budget checks: an attempt that never draws has no `draw`.
 fn run_task(
     task: Task,
+    backend: Arc<PreparedBackend>,
     states: &[Prepared],
-    contexts: &[(ContextKey, Context)],
-    queue: &TaskQueue<Task>,
+    queue: &TaskQueue<Job>,
     obs: &dyn Recorder,
 ) {
     let Prepared::Ready(st) = &states[task.request] else {
         queue.settle_one();
         return;
     };
-    let backend = &contexts[st.context].1.backend;
     let sampler = backend.sampler(st.separators, st.max_tokens);
     let vi = virtual_index(st.samples, task.sample, task.attempt);
     let sampler_config = st.request.config.sampler_for(vi);
@@ -768,13 +853,72 @@ fn run_task(
                         SpanKind::Backoff { sample: task.sample as u32, attempt: attempt as u32 },
                     );
                 }
-                queue.push_deferred(Task { attempt, ..task }, delay);
+                queue.push_deferred(Job::Draw(Task { attempt, ..task }, backend), delay);
             } else {
-                queue.push(Task { attempt, ..task });
+                queue.push(Job::Draw(Task { attempt, ..task }, backend));
             }
         }
-        AttemptDisposition::Settled => queue.settle_one(),
+        AttemptDisposition::Settled => {
+            // Settling the context's last sample frees the fitted model
+            // here, on the worker, before the settlement is counted.
+            drop(backend);
+            queue.settle_one();
+        }
     }
+}
+
+/// Runs one context's fit task: fits the prompt through [`fit_context`],
+/// panic-isolated as [`execute_attempt`] isolates a draw; records the
+/// prompt cost; emits the `context_fit` span and event and the joins of
+/// its requests; and releases their draws at the **front** of the queue,
+/// so the context's samples run before the next fit and at most about
+/// one fitted context per worker is alive. A fit that fails or
+/// panics instead settles every sample of its requests, which then end
+/// like a prepare failure. The task is its own settlement unit.
+fn run_fit(
+    c: usize,
+    states: &[Prepared],
+    contexts: &[Context],
+    queue: &TaskQueue<Job>,
+    obs: &Arc<dyn Recorder>,
+) {
+    let ctx = &contexts[c];
+    let spec = ctx.spec.as_ref().expect("fit tasks are seeded for unfitted contexts only");
+    let (start, wall) = (obs.now(), obs.wall());
+    let fitted = catch_unwind(AssertUnwindSafe(|| {
+        fit_context(spec, ctx.fp, None, Arc::clone(&ctx.ledger), obs)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(pipeline_error("context-fit", format!("fit panicked: {}", panic_message(payload))))
+    });
+    let samples = ctx.joined.iter().map(|&(request, _)| match &states[request] {
+        Prepared::Ready(st) => (request, st.samples),
+        Prepared::Failed(..) | Prepared::Rejected(_) => (request, 0),
+    });
+    let (fit, released, abandoned) = match fitted {
+        Ok((backend, ..)) => {
+            let prompt_cost = backend.prompt_cost();
+            record_fit(obs.as_ref(), ctx.fp, start, wall, prompt_cost);
+            for &(request, fp) in &ctx.joined {
+                record_join(obs.as_ref(), ctx, request, fp);
+            }
+            // Only the draws hold the model from here on: a context that
+            // no admitted sample draws from is freed right away.
+            let backend = Arc::new(backend);
+            let released = samples.flat_map(|(r, n)| draws(r, n, &backend)).collect();
+            (Fit { prompt_cost, failed: None }, released, 0)
+        }
+        Err(e) => {
+            let abandoned = samples.map(|(_, n)| n).sum();
+            (Fit { failed: Some(e), ..Fit::default() }, Vec::new(), abandoned)
+        }
+    };
+    *ctx.fit.lock().expect("fit lock") = fit;
+    queue.push_front(released);
+    for _ in 0..abandoned {
+        queue.settle_one();
+    }
+    queue.settle_one();
 }
 
 /// Emits the trace events one attempt outcome implies: a `defect` event
@@ -868,13 +1012,36 @@ fn run_batch(
 ) -> (Vec<ServeOutcome>, Vec<ContextStats>) {
     let slots = admit(submissions, config, overload, obs.as_ref());
     let (states, contexts) = prepare(slots, config, overload, cache, obs);
+    run_prepared(states, contexts, config, overload, cache, base_id, obs)
+}
 
-    let mut initial = Vec::new();
-    let mut outstanding = 0;
+/// Runs a prepared flush: seeds one fit task per context that needs a fit
+/// (ahead of every draw) and the draws of the contexts prepare resolved
+/// through the cache, drains the queue on `config.workers` threads, then
+/// settles the flush boundary on the calling thread — outcomes, quota
+/// charges, breaker transitions and cache pin releases.
+fn run_prepared(
+    states: Vec<Prepared>,
+    mut contexts: Vec<Context>,
+    config: &ServeConfig,
+    overload: &OverloadState,
+    cache: Option<&LmCache>,
+    base_id: usize,
+    obs: &Arc<dyn Recorder>,
+) -> (Vec<ServeOutcome>, Vec<ContextStats>) {
+    let mut initial: Vec<Job> =
+        (0..contexts.len()).filter(|&c| contexts[c].spec.is_some()).map(Job::Fit).collect();
+    let mut outstanding = initial.len();
+    // The cache keeps a cached context's model alive past the flush
+    // anyway, so these backends are held until the workers are joined
+    // and freed on the calling thread, as before fit tasks existed:
+    // freeing them on the workers slowed `warm_stream`'s attempts.
+    let warm: Vec<Option<Arc<PreparedBackend>>> =
+        contexts.iter_mut().map(|c| c.warm.take().map(Arc::new)).collect();
     for (i, prep) in states.iter().enumerate() {
         if let Prepared::Ready(st) = prep {
-            for sample in 0..st.samples {
-                initial.push(Task { request: i, sample, attempt: 0 });
+            if let Some(backend) = &warm[st.context] {
+                initial.extend(draws(i, st.samples, backend));
             }
             outstanding += st.samples;
         }
@@ -884,21 +1051,30 @@ fn run_batch(
         let queue = TaskQueue::new(initial, outstanding);
         let workers = config.workers.max(1);
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let queue = &queue;
                 let states = &states[..];
                 let contexts = &contexts[..];
-                let obs = obs.as_ref();
-                scope.spawn(move || loop {
-                    // A `queue_wait` event and span per dequeue, carrying
-                    // the clock delta spent blocked. The span id is
-                    // minted from the pre-wait tick and its open is
+                handles.push(scope.spawn(move || loop {
+                    // A `queue_wait` event and span per draw dequeue,
+                    // carrying the clock delta spent blocked. The span id
+                    // is minted from the pre-wait tick and its open is
                     // back-dated to the pre-wait stamps, so the fruitless
-                    // final wait emits nothing and leaves no orphan.
-                    // Queue waits are scheduler-scoped: metrics and
-                    // wall-clock exports only, never the canonical trace.
+                    // final wait emits nothing and leaves no orphan. A fit
+                    // task's dequeue emits neither: its time is its
+                    // `context_fit` span. Queue waits are
+                    // scheduler-scoped: metrics and wall-clock exports
+                    // only, never the canonical trace.
                     let (start, wall_start) = (obs.now(), obs.wall());
-                    let Some(task) = queue.next() else { break };
+                    let Some(job) = queue.next() else { break };
+                    let (task, backend) = match job {
+                        Job::Fit(c) => {
+                            run_fit(c, states, contexts, queue, obs);
+                            continue;
+                        }
+                        Job::Draw(task, backend) => (task, backend),
+                    };
                     if obs.enabled() {
                         let ticks = obs.now().saturating_sub(start);
                         obs.record(TraceEvent {
@@ -911,11 +1087,36 @@ fn run_batch(
                         obs.span_at(open, start, wall_start);
                         obs.span(SpanEvent::close_with_id(id, 0, SpanKind::QueueWait));
                     }
-                    run_task(task, states, contexts, queue, obs);
-                });
+                    run_task(task, backend, states, queue, obs.as_ref());
+                }));
+            }
+            // Join each worker rather than let the scope detach it: a
+            // joined thread has handed its malloc arena back, so the next
+            // flush's workers fit into the arenas this flush's contexts
+            // were freed to instead of spreading over fresh ones.
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
     }
+    drop(warm);
+
+    let fits: Vec<Fit> =
+        contexts.iter().map(|c| std::mem::take(&mut *c.fit.lock().expect("fit lock"))).collect();
+    // Contexts are numbered as prepare found them, skipping failed fits
+    // (which, like any prepare failure, leave no context behind).
+    let mut served = 0;
+    let numbering: Vec<Option<usize>> = fits
+        .iter()
+        .map(|f| {
+            f.failed.is_none().then(|| {
+                served += 1;
+                served - 1
+            })
+        })
+        .collect();
 
     // Quota attribution happens at the flush boundary: admitted requests
     // are charged their full attributed cost (prompt + generated), so the
@@ -924,14 +1125,14 @@ fn run_batch(
     let clients: Vec<Option<u32>> = states
         .iter()
         .map(|prep| match prep {
-            Prepared::Ready(st) => Some(st.request.client),
-            Prepared::Failed(..) | Prepared::Rejected(_) => None,
+            Prepared::Ready(st) if numbering[st.context].is_some() => Some(st.request.client),
+            Prepared::Ready(_) | Prepared::Failed(..) | Prepared::Rejected(_) => None,
         })
         .collect();
     let outcomes: Vec<ServeOutcome> = states
         .into_iter()
         .enumerate()
-        .map(|(i, prep)| finalize(i, base_id, prep, &contexts, obs.as_ref()))
+        .map(|(i, prep)| finalize(i, base_id, prep, &contexts, &fits, &numbering, obs.as_ref()))
         .collect();
     if config.quota_tokens.is_some() {
         for (outcome, client) in outcomes.iter().zip(&clients) {
@@ -964,7 +1165,7 @@ fn run_batch(
     // Flush-boundary pin settlement: every session has completed (the
     // worker scope joined above), so no fork borrows a cached context
     // any more — unpin them all, making the entries evictable again.
-    for (_, c) in &contexts {
+    for c in &contexts {
         if let (Some(cache), Some((family, fp))) = (cache, c.pin) {
             cache.release(family, fp);
         }
@@ -972,10 +1173,12 @@ fn run_batch(
 
     let stats = contexts
         .into_iter()
-        .map(|(_, c)| ContextStats {
+        .zip(fits)
+        .filter(|(_, fit)| fit.failed.is_none())
+        .map(|(c, fit)| ContextStats {
             fingerprint: c.fp,
-            requests: c.requests,
-            prompt_cost: c.backend.prompt_cost(),
+            requests: c.joined.len(),
+            prompt_cost: fit.prompt_cost,
             metered: c.ledger.snapshot(),
             sessions: c.ledger.sessions(),
         })
@@ -987,46 +1190,48 @@ fn run_batch(
 /// median/quorum/fallback ladder, with the resolve itself panic-isolated so
 /// a pathological request cannot take down the batch. Emits the request's
 /// `quorum_resolve` event, plus `fallback` when the classical path
-/// produced the forecast.
+/// produced the forecast. A request whose context fit failed ends like a
+/// prepare failure.
 fn finalize(
     index: usize,
     base_id: usize,
     prep: Prepared,
-    contexts: &[(ContextKey, Context)],
+    contexts: &[Context],
+    fits: &[Fit],
+    numbering: &[Option<usize>],
     obs: &dyn Recorder,
 ) -> ServeOutcome {
     let id = RequestId(base_id + index);
-    let st = match prep {
-        Prepared::Failed(e, fp) => {
-            // The request span opened at prepare time; a failed
-            // preparation still closes it.
-            if obs.enabled() {
-                obs.span(SpanEvent::close(fp, SpanKind::Request));
-            }
-            return ServeOutcome {
-                id,
-                forecast: Err(e),
-                report: None,
-                cost: InferenceCost::default(),
-                context: None,
-            };
+    // A failed preparation or fit closes the `request` span opened at
+    // prepare time (a rejected request never opened one); either way the
+    // outcome is a typed error with zero attributed cost and no context —
+    // the conservation audit counts these requests at exactly zero.
+    let fail = |e: TsError, request_fp: Option<u64>| {
+        if let (Some(fp), true) = (request_fp, obs.enabled()) {
+            obs.span(SpanEvent::close(fp, SpanKind::Request));
         }
-        // Rejected before any work: typed error, zero attributed cost —
-        // the conservation audit counts rejected requests at exactly zero.
-        Prepared::Rejected(defect) => {
-            return ServeOutcome {
-                id,
-                forecast: Err(defect.to_error()),
-                report: None,
-                cost: InferenceCost::default(),
-                context: None,
-            };
+        ServeOutcome {
+            id,
+            forecast: Err(e),
+            report: None,
+            cost: InferenceCost::default(),
+            context: None,
         }
-        Prepared::Ready(st) => st,
     };
-    let ctx = &contexts[st.context].1;
-    let mut cost =
-        if ctx.owner == index { ctx.backend.prompt_cost() } else { InferenceCost::default() };
+    let st = match prep {
+        Prepared::Ready(st) => match &fits[st.context].failed {
+            None => st,
+            Some(e) => return fail(e.clone(), Some(st.fp)),
+        },
+        Prepared::Failed(e, fp) => return fail(e, Some(fp)),
+        Prepared::Rejected(defect) => return fail(defect.to_error(), None),
+    };
+    let context = numbering[st.context];
+    let mut cost = if contexts[st.context].owner == index {
+        fits[st.context].prompt_cost
+    } else {
+        InferenceCost::default()
+    };
     let progress = st.progress.into_inner().expect("request lock");
     let generated = progress.cost();
     let outcome = match progress.finish() {
@@ -1062,19 +1267,13 @@ fn finalize(
                 Err(pipeline_error("serve-resolve", format!("request {} panicked", id.0)))
             });
             let cost = engine_run.cost();
-            ServeOutcome {
-                id,
-                forecast,
-                report: Some(engine_run.into_report()),
-                cost,
-                context: Some(st.context),
-            }
+            ServeOutcome { id, forecast, report: Some(engine_run.into_report()), cost, context }
         }
         Err(e) => {
             // The run failed on infrastructure, but its completed draws
             // were still paid for — keep attribution conserved.
             cost.absorb(generated);
-            ServeOutcome { id, forecast: Err(e), report: None, cost, context: Some(st.context) }
+            ServeOutcome { id, forecast: Err(e), report: None, cost, context }
         }
     };
     if obs.enabled() {
@@ -1555,6 +1754,97 @@ mod tests {
         let fps: Vec<u64> = handle.contexts().iter().map(|c| c.fingerprint).collect();
         assert_ne!(fps[0], fps[1]);
         assert_ne!(cold.contexts[0].fingerprint, fps[1]);
+    }
+
+    /// Serves `requests` with the fit task of context `broken` given the
+    /// spec `rewrite` makes of the one prepare built. The spec is the fit
+    /// task's only input, so this breaks exactly that fit.
+    fn serve_with_fit_spec(
+        requests: &[ForecastRequest],
+        workers: usize,
+        broken: usize,
+        rewrite: impl Fn(&ContinuationSpec) -> ContinuationSpec,
+    ) -> ServeRun {
+        let config = ServeConfig::with_workers(workers);
+        let overload = OverloadState::new();
+        let obs: Arc<dyn Recorder> = Arc::new(NoopRecorder);
+        let submissions = requests.iter().cloned().map(Ok).collect();
+        let slots = admit(submissions, &config, &overload, obs.as_ref());
+        let (states, mut contexts) = prepare(slots, &config, &overload, None, &obs);
+        let spec = contexts[broken].spec.as_ref().expect("a cold context has a fit task");
+        contexts[broken].spec = Some(rewrite(spec));
+        let (outcomes, contexts) =
+            run_prepared(states, contexts, &config, &overload, None, 0, &obs);
+        ServeRun { outcomes, contexts }
+    }
+
+    fn bits(forecast: &Result<MultivariateSeries>) -> Vec<Vec<u64>> {
+        let series = forecast.as_ref().expect("healthy request forecasts");
+        series.columns().iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// A broken fit of context 0 (requests 0 and 2) must fail exactly
+    /// those requests like a prepare failure, at any worker count, and
+    /// leave request 1 (context 1) bit-identical to a healthy flush.
+    fn assert_fit_failure_is_isolated(
+        rewrite: impl Fn(&ContinuationSpec) -> ContinuationSpec,
+        stage: &str,
+    ) {
+        let requests = vec![
+            request(4, MuxMethod::ValueInterleave, 1),
+            request(5, MuxMethod::ValueConcat, 2),
+            request(6, MuxMethod::ValueInterleave, 3),
+        ];
+        let healthy = serve_all(&requests, &ServeConfig::with_workers(2));
+        assert_eq!(healthy.contexts.len(), 2);
+        for workers in [1, 2, 8] {
+            let run = serve_with_fit_spec(&requests, workers, 0, &rewrite);
+            for i in [0, 2] {
+                let outcome = &run.outcomes[i];
+                match &outcome.forecast {
+                    Err(TsError::Pipeline { stage: s, .. }) => assert_eq!(*s, stage),
+                    other => panic!("request {i}: expected a {stage} error, got {other:?}"),
+                }
+                assert_eq!(outcome.cost, InferenceCost::default(), "a failed fit costs nothing");
+                assert!(outcome.report.is_none());
+                assert_eq!(outcome.context, None);
+            }
+            let (served, reference) = (&run.outcomes[1], &healthy.outcomes[1]);
+            assert_eq!(bits(&served.forecast), bits(&reference.forecast), "{workers} workers");
+            assert_eq!(served.cost, reference.cost);
+            // The failed context leaves no entry, so request 1's context
+            // is numbered 0.
+            assert_eq!(served.context, Some(0));
+            assert_eq!(run.contexts.len(), 1);
+            assert_eq!(run.contexts[0].fingerprint, healthy.contexts[1].fingerprint);
+            assert_eq!(run.attributed_cost(), run.metered_cost());
+        }
+    }
+
+    #[test]
+    fn failing_fit_fails_only_its_requests() {
+        // A vocabulary without the separator cannot encode the prompt.
+        assert_fit_failure_is_isolated(
+            |spec| ContinuationSpec {
+                vocab: Vocab::new(spec.vocab.chars().iter().copied().filter(|&c| c != ',')),
+                ..spec.clone()
+            },
+            "encode-prompt",
+        );
+    }
+
+    #[test]
+    fn panicking_fit_fails_only_its_requests() {
+        // 128 more tokens make the large preset's order-10 context keys
+        // overflow 63 bits, which the count table rejects with a panic.
+        assert_fit_failure_is_isolated(
+            |spec| ContinuationSpec {
+                vocab: Vocab::new(spec.vocab.chars().iter().copied().chain('\u{100}'..'\u{180}')),
+                preset: ModelPreset::Large,
+                ..spec.clone()
+            },
+            "context-fit",
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use mc_loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use mc_loom::sync::Arc;
 use mc_loom::{explore, model, thread};
 
@@ -84,6 +85,123 @@ fn retry_pushed_while_peer_sleeps_is_not_lost() {
             .collect();
         let done: usize = workers.into_iter().map(|w| w.join().expect("worker")).sum();
         assert_eq!(done, 1, "the retried sample settles exactly once");
+    });
+}
+
+/// Task ids of the fit → draw models below, shaped like
+/// `serve::run_prepared`'s queue: a context's fit task is seeded ahead
+/// of every draw, and its draws only exist once the fit releases them.
+const FIT: usize = 0;
+const DRAWS: [usize; 2] = [10, 11];
+const OTHER: usize = 20;
+
+/// No dependent draw is dequeued before its fit completes: the fit
+/// stores its result, then releases its draws at the front of the queue,
+/// while a sibling worker races for work — in every interleaving each
+/// released draw sees the stored fit, every task runs exactly once and
+/// every worker exits.
+#[test]
+fn no_draw_runs_before_its_fit_completes() {
+    model(|| {
+        // The fit and one draw of an already-resolved context, plus one
+        // settlement per released draw.
+        let queue = Arc::new(TaskQueue::new(vec![FIT, OTHER], 2 + DRAWS.len()));
+        let fitted = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (queue, fitted) = (Arc::clone(&queue), Arc::clone(&fitted));
+                thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    while let Some(task) = queue.next() {
+                        if task == FIT {
+                            fitted.store(true, Ordering::SeqCst);
+                            queue.push_front(DRAWS.to_vec());
+                        } else if DRAWS.contains(&task) {
+                            assert!(
+                                fitted.load(Ordering::SeqCst),
+                                "draw {task} ran before its fit"
+                            );
+                        }
+                        seen.push(task);
+                        queue.settle_one();
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let mut all: Vec<usize> = Vec::new();
+        for w in workers {
+            all.extend(w.join().expect("worker"));
+        }
+        all.sort_unstable();
+        assert_eq!(all, vec![FIT, DRAWS[0], DRAWS[1], OTHER], "each task runs exactly once");
+        assert_eq!(queue.next(), None);
+    });
+}
+
+/// A failed fit releases no draws and instead settles each dependent
+/// sample itself, exactly once, then its own unit: the sibling worker,
+/// possibly asleep on the empty queue, still observes termination and
+/// every worker exits. One settlement short deadlocks here, which the
+/// checker reports; one too many shows in the count.
+#[test]
+fn failed_fit_settles_each_dependent_once_and_workers_exit() {
+    model(|| {
+        let queue = Arc::new(TaskQueue::new(vec![FIT, OTHER], 2 + DRAWS.len()));
+        let settled_for_fit = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (queue, settled) = (Arc::clone(&queue), Arc::clone(&settled_for_fit));
+                thread::spawn(move || {
+                    let mut ran = Vec::new();
+                    while let Some(task) = queue.next() {
+                        if task == FIT {
+                            for _ in DRAWS {
+                                settled.fetch_add(1, Ordering::SeqCst);
+                                queue.settle_one();
+                            }
+                        } else {
+                            ran.push(task);
+                        }
+                        queue.settle_one();
+                    }
+                    ran
+                })
+            })
+            .collect();
+        let mut ran: Vec<usize> = Vec::new();
+        for w in workers {
+            ran.extend(w.join().expect("worker"));
+        }
+        assert_eq!(ran, vec![OTHER], "a failed fit's draws never run");
+        assert_eq!(settled_for_fit.load(Ordering::SeqCst), DRAWS.len());
+        assert_eq!(queue.next(), None, "termination observable after the drain");
+    });
+}
+
+/// Draws released at the front wake a sleeping worker: the worker may
+/// reach the empty queue (fit dequeued, its draws not yet released) and
+/// sleep before the release; a release that did not notify would strand
+/// it, which the checker reports as a deadlock.
+#[test]
+fn released_draws_wake_a_sleeping_worker() {
+    model(|| {
+        let queue = Arc::new(TaskQueue::new(vec![FIT], 1 + DRAWS.len()));
+        assert_eq!(queue.next(), Some(FIT));
+        let worker = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || {
+                let mut seen = Vec::new();
+                while let Some(task) = queue.next() {
+                    seen.push(task);
+                    queue.settle_one();
+                }
+                seen
+            })
+        };
+        queue.push_front(DRAWS.to_vec());
+        queue.settle_one();
+        assert_eq!(worker.join().expect("worker"), DRAWS.to_vec(), "released in order");
     });
 }
 

@@ -728,6 +728,50 @@ mod tests {
         Input { prompt, split, tail: tokens(raw_tail), sessions }
     }
 
+    /// A prompt on which PPM's escape product falls below its `1e-15`
+    /// cut-off before the lowest order. The final history is the context
+    /// `0..=7`; each of its suffixes of length 8 down to 1 is seen 80
+    /// times followed by a follower of its own (`8..=15`), behind a
+    /// marker (`16`) where the next longer suffix would not match. So
+    /// every order from 8 down to 1 adds exactly one unexcluded symbol
+    /// seen 80 times, each multiplies the escape mass by 1/81, and after
+    /// order 1 it is 81^-8 ≈ 5e-16: order 0 is never visited. The random
+    /// differential cases (≤ 300 tokens) never get there.
+    fn nested_escape_prompt() -> Vec<TokenId> {
+        let mut cycle: Vec<TokenId> = (0..=8).collect();
+        for k in (1..8).rev() {
+            cycle.push(16);
+            cycle.extend(8 - k..8);
+            cycle.push(16 - k);
+        }
+        let mut prompt: Vec<TokenId> =
+            cycle.iter().copied().cycle().take(80 * cycle.len()).collect();
+        prompt.extend(0..8);
+        prompt
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a 4k-token prompt; the cut-off is numeric, not memory safety")]
+    fn ppm_escape_cutoff_matches_hashmap_reference() {
+        let (vocab, order) = (17, 8);
+        let prompt = nested_escape_prompt();
+        assert!(prompt.len() > 4000);
+        let mut new = crate::ppm::PpmLm::new(vocab, order, "ppm");
+        let mut old = super::ppm::PpmLm::new(vocab, order, "ppm");
+        feed(&mut new, &mut old, &prompt, false).unwrap();
+        // The break fires: 8 of the 9 orders are visited, and a visited
+        // order is one work unit.
+        let mut p = vec![0.0; vocab];
+        for model in [&mut new as &mut dyn LanguageModel, &mut old] {
+            let before = model.cost().work_units;
+            model.next_distribution(&mut p);
+            assert_eq!(model.cost().work_units - before, order as u64, "orders visited");
+        }
+        let (new, old) = (new.into_frozen(), old.into_frozen());
+        assert_eq!(new.prompt_cost(), old.prompt_cost());
+        decode(&new, &old, &[(1, MAX_SESSION), (7, MAX_SESSION), (42, 3)]).unwrap();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CASES))]
 

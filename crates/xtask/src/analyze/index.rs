@@ -1,10 +1,11 @@
 //! Workspace symbol index: item definitions plus per-file identifier
 //! occurrence sets.
 //!
-//! Built once over the loaded [`Workspace`] and shared
-//! by the passes: the allowlist-staleness pass asks "does this symbol
-//! still occur under this path prefix", the doc/report layer asks
-//! "where is this item defined". Occurrences are tracked per file as a
+//! Built once over the loaded [`Workspace`]: the allowlist
+//! ([`crate::allow::Allowlist::apply`]) asks "does this path still cover
+//! a file, does this symbol still occur under it" when it explains an
+//! entry that suppressed nothing, and the doc/report layer asks "where
+//! is this item defined". Occurrences are tracked per file as a
 //! set (the passes never need positions of *every* use — definitions
 //! carry positions).
 

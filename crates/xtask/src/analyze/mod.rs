@@ -20,12 +20,11 @@
 //!   recording, every `.spec` grammar key consumed by the builder, every
 //!   `ScenarioKind` backed by a committed golden spec (and a BENCH
 //!   baseline when its runner emits one).
-//! - **[`stale`]** — cross-references `mc-lint.allow` entries against
-//!   the symbol index so entries naming moved or renamed paths/symbols
-//!   fail loudly at their allowlist line.
 //!
 //! Deny-by-default: a finding fails the run unless a justified entry in
-//! the allowlist ([`crate::allow`]) covers it. `cargo xtask analyze`
+//! the allowlist ([`crate::allow`]) covers it, and an entry that covers
+//! nothing fails it too — naming, from the symbol index ([`index`]), the
+//! moved path or renamed symbol when that is why. `cargo xtask analyze`
 //! drives it; DESIGN.md §13 describes the architecture and the
 //! analyze/clippy/loom division of labor.
 
@@ -33,7 +32,6 @@ pub mod drift;
 pub mod index;
 pub mod locks;
 pub mod rules;
-pub mod stale;
 pub mod tree;
 
 use std::fmt;
@@ -44,7 +42,7 @@ use crate::allow::Allowlist;
 use crate::lexer::{lex, Token};
 
 /// Every rule name a finding can carry; allowlist entries must name one.
-pub const RULE_NAMES: [&str; 16] = [
+pub const RULE_NAMES: [&str; 15] = [
     "lock-order",
     "lock-seam",
     "counter-drift",
@@ -52,7 +50,6 @@ pub const RULE_NAMES: [&str; 16] = [
     "span-drift",
     "spec-drift",
     "scenario-drift",
-    "stale-allow",
     "no-direct-fit",
     "single-construction",
     "no-unwrap",
@@ -218,12 +215,7 @@ fn json_str(s: &str) -> String {
 ///
 /// Returns the raw findings (allowlist not yet applied) plus the
 /// lock-site count. Split out so tests can drive synthetic workspaces.
-pub fn run_passes(
-    ws: &Workspace,
-    artifacts: &drift::ScenarioArtifacts,
-    allowlist: &Allowlist,
-) -> (Vec<Finding>, usize) {
-    let idx = index::SymbolIndex::build(ws);
+pub fn run_passes(ws: &Workspace, artifacts: &drift::ScenarioArtifacts) -> (Vec<Finding>, usize) {
     let lock_report = locks::check(ws);
     let mut findings = lock_report.findings;
     findings.extend(drift::counter_drift(ws));
@@ -231,7 +223,6 @@ pub fn run_passes(
     findings.extend(drift::span_drift(ws));
     findings.extend(drift::spec_drift(ws));
     findings.extend(drift::scenario_drift(ws, artifacts));
-    findings.extend(stale::check(&idx, allowlist));
     findings.extend(rules::token_rules(ws));
     findings.extend(rules::no_direct_fit(ws));
     findings.extend(rules::single_construction(ws));
@@ -248,8 +239,8 @@ pub fn run_analyze(root: &Path, allowlist_text: &str) -> Result<AnalysisReport, 
     let allowlist = Allowlist::parse(allowlist_text)?;
     let ws = Workspace::load(root)?;
     let artifacts = drift::ScenarioArtifacts::load(root)?;
-    let (findings, lock_sites) = run_passes(&ws, &artifacts, &allowlist);
-    let (mut kept, errors) = allowlist.apply(findings);
+    let (findings, lock_sites) = run_passes(&ws, &artifacts);
+    let (mut kept, errors) = allowlist.apply(findings, &index::SymbolIndex::build(&ws));
     kept.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     let suppressions_in_use = allowlist.entries.len() - errors.len();
     Ok(AnalysisReport {

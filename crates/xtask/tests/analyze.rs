@@ -6,13 +6,13 @@
 //! each seeded fixture under `fixtures/` and `fixtures/analyze/` must
 //! fail with a span-accurate diagnostic, its test-only items exempt;
 //! and the allowlist must suppress exactly what it names and report
-//! what it no longer covers.
+//! what it no longer covers, and why.
 
 use std::path::Path;
 
 use xtask::allow::Allowlist;
 use xtask::analyze::index::SymbolIndex;
-use xtask::analyze::{drift, locks, rules, run_analyze, stale, Finding, Workspace, RULE_NAMES};
+use xtask::analyze::{drift, locks, rules, run_analyze, Finding, Workspace, RULE_NAMES};
 
 const LOCK_CYCLE: &str = include_str!("fixtures/analyze/lock_cycle.rs");
 const COUNTER_ROBUST: &str = include_str!("fixtures/analyze/counter_drift_robust.rs");
@@ -78,8 +78,8 @@ fn the_committed_workspace_is_clean() {
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(report.clean(), "{:?}", report.findings);
     assert!(report.files >= 100, "only {} files analyzed", report.files);
-    assert_eq!(report.lock_sites, 20, "lock inventory moved; update DESIGN.md §13");
-    assert!(report.to_json().contains("\"lock_sites\":20"), "{}", report.to_json());
+    assert_eq!(report.lock_sites, 23, "lock inventory moved; update DESIGN.md §13");
+    assert!(report.to_json().contains("\"lock_sites\":23"), "{}", report.to_json());
 }
 
 #[test]
@@ -116,8 +116,8 @@ fn lock_pass_covers_every_acquisition_site_in_serve_land() {
         assert_eq!(reported, expected, "{path}: pass covers {reported} of {expected} sites");
         covered += reported;
     }
-    assert_eq!(covered, 16, "serve-land acquisition count moved; re-audit lock order");
-    assert_eq!(report.sites.len(), 20, "workspace-wide site count (incl. obs/record.rs)");
+    assert_eq!(covered, 19, "serve-land acquisition count moved; re-audit lock order");
+    assert_eq!(report.sites.len(), 23, "workspace-wide site count (incl. obs/record.rs)");
 }
 
 #[test]
@@ -244,12 +244,22 @@ fn stale_allowlist_entry_fails_at_its_own_line() {
          lock-order crates/core/src/serve_old.rs * -- seeded: file renamed away -- since PR9\n",
     )
     .unwrap();
-    let findings = stale::check(&idx, &allow);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!((f.path.as_str(), f.line, f.col), ("mc-lint.allow", 3, 1));
-    assert_eq!(f.rule, "stale-allow");
-    assert!(f.message.contains("crates/core/src/serve_old.rs"), "{}", f.message);
+    // The live entry suppresses a finding; the seeded one names a file
+    // that is gone, and says so at its own line.
+    let live = Finding {
+        path: "crates/core/src/serve.rs".into(),
+        line: 1,
+        col: 1,
+        rule: "no-unwrap",
+        symbol: "expect".into(),
+        message: String::new(),
+    };
+    let (kept, stale) = allow.apply(vec![live], &idx);
+    assert!(kept.is_empty(), "{kept:?}");
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert!(stale[0].starts_with("allowlist line 3: "), "{}", stale[0]);
+    assert!(stale[0].contains("crates/core/src/serve_old.rs"), "{}", stale[0]);
+    assert!(stale[0].contains("covers no linted source file"), "{}", stale[0]);
 }
 
 #[test]
@@ -370,7 +380,7 @@ fn queue_fixture_flags_imports_types_and_constructors_but_not_tests() {
          no-unbounded-queue tests/fixtures/unbounded_queue.rs mpsc -- fixture exercise\n",
     )
     .unwrap();
-    let (kept, stale) = allow.apply(findings);
+    let (kept, stale) = allow.apply(findings, &SymbolIndex::default());
     assert!(kept.is_empty() && stale.is_empty());
 }
 
@@ -397,7 +407,7 @@ fn adhoc_bench_fixture_flags_bins_in_bench_land_only() {
         "no-adhoc-bench crates/spec/src/runner.rs * -- the runner is the sanctioned seam\n",
     )
     .unwrap();
-    let (kept, stale) = allow.apply(runner);
+    let (kept, stale) = allow.apply(runner, &SymbolIndex::default());
     assert!(kept.is_empty() && stale.is_empty());
     // Outside bench-land the rule never fires.
     assert!(token_findings("crates/core/src/serve.rs", ADHOC).is_empty());
@@ -415,20 +425,20 @@ fn allowlist_suppresses_exactly_what_it_names() {
          no-unwrap tests/fixtures/unwrap_in_lib.rs expect -- fixture exercise\n",
     )
     .unwrap();
-    let (kept, stale) = allow.apply(findings.clone());
+    let (kept, stale) = allow.apply(findings.clone(), &SymbolIndex::default());
     assert!(stale.is_empty());
     assert_eq!(shape(&kept), vec![at("no-unwrap", "panic", UNWRAP, 13, "panic")]);
 
     // A wildcard symbol with a path prefix suppresses the whole family.
     let allow = Allowlist::parse("no-unwrap tests/fixtures * -- fixtures are known-bad\n").unwrap();
-    let (kept, stale) = allow.apply(findings.clone());
+    let (kept, stale) = allow.apply(findings.clone(), &SymbolIndex::default());
     assert!(kept.is_empty() && stale.is_empty());
 
     // The rule must match, not just the path: a no-wallclock entry
     // suppresses nothing here and is reported stale.
     let allow =
         Allowlist::parse("no-wallclock tests/fixtures/unwrap_in_lib.rs * -- wrong rule\n").unwrap();
-    let (kept, stale) = allow.apply(findings);
+    let (kept, stale) = allow.apply(findings, &SymbolIndex::default());
     assert_eq!(kept.len(), 4);
     assert_eq!(stale.len(), 1);
     assert!(stale[0].contains("no-wallclock"), "stale message names the entry: {}", stale[0]);
@@ -438,7 +448,7 @@ fn allowlist_suppresses_exactly_what_it_names() {
 fn stale_entries_fail_even_when_everything_else_is_clean() {
     let allow =
         Allowlist::parse("no-direct-sync crates/nonexistent * -- covers nothing at all\n").unwrap();
-    let (kept, stale) = allow.apply(Vec::new());
+    let (kept, stale) = allow.apply(Vec::new(), &SymbolIndex::default());
     assert!(kept.is_empty());
     assert_eq!(stale.len(), 1);
 }
@@ -450,7 +460,7 @@ fn allowlist_rejects_missing_or_empty_justification() {
     assert!(Allowlist::parse("no-such-rule crates/foo * -- why\n").is_err());
     // Comments and blank lines are fine.
     let allow = Allowlist::parse("# header\n\nno-unwrap crates/foo bar -- reason\n").unwrap();
-    let (_, stale) = allow.apply(Vec::new());
+    let (_, stale) = allow.apply(Vec::new(), &SymbolIndex::default());
     assert_eq!(stale.len(), 1);
 }
 

@@ -525,6 +525,112 @@ proptest! {
         cache.release(family, fp_full);
         prop_assert_eq!(cache.stats().refits, 1);
     }
+
+    /// Served equals the engine: on a generated batch mixing digit and
+    /// SAX codecs over repeated histories (so requests share contexts),
+    /// with S in 1..=4 and generated fault profiles (corruption and an
+    /// injected panic, no infrastructure faults), every request served at
+    /// 1, 2 and 8 workers forecasts bit-identically to
+    /// `ForecastEngine::run` + `EngineRun::resolve` for that request
+    /// alone, its attributed cost is the same at every worker count, and
+    /// the canonical event and span exports are byte-identical across
+    /// worker counts. Context fits run as tasks on the workers, so this
+    /// is where a fit → draw ordering bug would surface.
+    #[test]
+    fn served_forecasts_equal_the_engine(
+        specs in prop::collection::vec(
+            (0usize..3, 0usize..4, 2usize..6, 1usize..5, 0u64..1000, (0usize..4, 0u64..100, 0usize..6)),
+            1..7,
+        ),
+    ) {
+        use std::sync::Arc;
+        use multicast_suite::core::engine::ForecastEngine;
+        use multicast_suite::core::robust::FaultProfile;
+        use multicast_suite::core::serve::{
+            serve_all_observed, CodecChoice, ForecastRequest, ServeConfig, ServeRun,
+        };
+        use multicast_suite::obs::Observer;
+
+        let trains: Vec<MultivariateSeries> = (0..3usize)
+            .map(|t| {
+                let a: Vec<f64> = (0..48 + 6 * t)
+                    .map(|i| ((i + 3 * t) as f64 * 0.35).sin() * 9.0 + 20.0)
+                    .collect();
+                let b: Vec<f64> = a.iter().map(|v| 60.0 - 1.5 * v).collect();
+                MultivariateSeries::from_columns(vec!["a".into(), "b".into()], vec![a, b]).unwrap()
+            })
+            .collect();
+        let sax = SaxConfig {
+            segment_len: 3,
+            alphabet: SaxAlphabet::new(SaxAlphabetKind::Alphabetic, 5).unwrap(),
+        };
+        let requests: Vec<ForecastRequest> = specs
+            .iter()
+            .map(|&(history, codec, horizon, samples, seed, (rate, fault_seed, panic))| {
+                let codec = match codec {
+                    0 => CodecChoice::Digit(MuxMethod::ValueInterleave),
+                    1 => CodecChoice::Digit(MuxMethod::ValueConcat),
+                    2 => CodecChoice::Digit(MuxMethod::DigitInterleave),
+                    _ => CodecChoice::Sax(sax),
+                };
+                let profile = FaultProfile {
+                    rate: [0.0, 0.0, 0.3, 1.0][rate],
+                    seed: fault_seed,
+                    panic_sample: (panic < samples).then_some(panic),
+                    ..FaultProfile::default()
+                };
+                let config = ForecastConfig { samples, seed, ..ForecastConfig::default() };
+                let mut request =
+                    ForecastRequest::digit(trains[history].clone(), horizon, MuxMethod::ValueInterleave, config);
+                request.codec = codec;
+                request.source = profile.source();
+                request
+            })
+            .collect();
+
+        let serve = |workers: usize| -> (ServeRun, String, String) {
+            let obs = Arc::new(Observer::logical());
+            let run = serve_all_observed(&requests, &ServeConfig::with_workers(workers), obs.clone());
+            (run, obs.to_jsonl(), obs.spans_to_jsonl())
+        };
+        let (reference, events, spans) = serve(1);
+        for (i, (request, served)) in requests.iter().zip(&reference.outcomes).enumerate() {
+            let engine = ForecastEngine::with_source(request.config, request.source);
+            let codec = request.codec.build(&request.config);
+            let expected = engine
+                .run(codec.as_ref(), &request.train, request.horizon)
+                .and_then(|run| run.resolve(&request.train, request.horizon))
+                .unwrap();
+            let served = served.forecast.as_ref().unwrap();
+            prop_assert_eq!(served.dims(), expected.dims());
+            for d in 0..served.dims() {
+                let bits = |s: &MultivariateSeries| -> Vec<u64> {
+                    s.column(d).unwrap().iter().map(|v| v.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(served), bits(&expected), "request {} dim {}", i, d);
+            }
+        }
+        // One context per distinct (history, codec): repeats share it.
+        let mut prompts: Vec<(usize, usize)> = specs.iter().map(|s| (s.0, s.1)).collect();
+        prompts.sort_unstable();
+        prompts.dedup();
+        prop_assert_eq!(reference.contexts.len(), prompts.len());
+        for workers in [2usize, 8] {
+            let (run, other_events, other_spans) = serve(workers);
+            for (i, (a, b)) in reference.outcomes.iter().zip(&run.outcomes).enumerate() {
+                prop_assert_eq!(a.cost, b.cost, "request {} cost at {} workers", i, workers);
+                let (fa, fb) = (a.forecast.as_ref().unwrap(), b.forecast.as_ref().unwrap());
+                for d in 0..fa.dims() {
+                    let bits = |s: &MultivariateSeries| -> Vec<u64> {
+                        s.column(d).unwrap().iter().map(|v| v.to_bits()).collect()
+                    };
+                    prop_assert_eq!(bits(fa), bits(fb), "request {} at {} workers", i, workers);
+                }
+            }
+            prop_assert!(other_events == events, "{} workers changed the canonical trace", workers);
+            prop_assert!(other_spans == spans, "{} workers changed the canonical spans", workers);
+        }
+    }
 }
 
 /// One step of a 64-bit LCG, returning its high bits.
