@@ -74,6 +74,15 @@ pub fn spec_family(spec: &ContinuationSpec) -> u64 {
     fp.finish()
 }
 
+/// Rejects a sampler config that [`Sampler::new`] would panic on, so a
+/// request fails once with a typed error instead of in every draw.
+///
+/// # Errors
+/// [`mc_tslib::error::TsError::InvalidParameter`] named `sampler`.
+pub(crate) fn check_sampler(config: SamplerConfig) -> Result<()> {
+    config.validate().map_err(|requirement| invalid_param("sampler", requirement))
+}
+
 /// Builds the token mask for an output-character restriction.
 pub(crate) fn decode_mask(vocab: &Vocab, chars: &str) -> Vec<bool> {
     let mut mask = vec![false; vocab.len()];
@@ -132,8 +141,13 @@ impl ForecastEngine {
     /// Runs the robust ladder with an already-fitted codec: fit the
     /// backend once, fork one decode session per (sample, attempt),
     /// validate/retry/quorum via [`crate::robust::run_attempts`].
+    ///
+    /// # Errors
+    /// An invalid sampler config, before the backend fit; a backend fit
+    /// failure; an infrastructure failure while sampling.
     pub fn run_fitted(&self, fitted: &dyn FittedCodec, horizon: usize) -> Result<EngineRun> {
         let cfg = self.config;
+        check_sampler(cfg.sampler)?;
         let spec = self.continuation_spec(fitted, horizon);
         let backend = PreparedBackend::fit(&spec)?;
         let sampler = backend.sampler(spec.separators, spec.max_tokens);
@@ -155,7 +169,8 @@ impl ForecastEngine {
     /// defects included, to keep its quantiles honest. Deterministic, one
     /// scoped thread per sample, and a panicking sample is an error: each
     /// sample draws the text [`crate::pipeline::run_continuation`] would,
-    /// except the prompt is fitted once.
+    /// except the prompt is fitted once. Every sample's sampler config is
+    /// checked before the fit.
     pub fn draw(
         &self,
         codec: &dyn Codec,
@@ -166,6 +181,9 @@ impl ForecastEngine {
     ) -> Result<(Vec<Vec<Vec<f64>>>, InferenceCost)> {
         if samples == 0 {
             return Err(invalid_param("samples", "at least one sample required"));
+        }
+        for i in 0..samples {
+            check_sampler(sampler_for(i))?;
         }
         let fitted = codec.fit(train)?;
         let spec = self.continuation_spec(fitted.as_ref(), horizon);

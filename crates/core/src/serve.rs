@@ -84,7 +84,9 @@ use mc_sax::encoder::SaxConfig;
 
 use crate::codec::{Codec, DigitCodec, FittedCodec, SaxCodec};
 use crate::config::ForecastConfig;
-use crate::engine::{spec_family, spec_fingerprint, EngineRun, ForecastEngine, PreparedBackend};
+use crate::engine::{
+    check_sampler, spec_family, spec_fingerprint, EngineRun, ForecastEngine, PreparedBackend,
+};
 use crate::mux::MuxMethod;
 use crate::overload::{
     BreakerPolicy, BreakerTransition, CircuitBreaker, OverloadState, Priority, ServeDefect,
@@ -691,6 +693,9 @@ fn prepare(
             obs.span(SpanEvent::open(fp, SpanKind::Request));
         }
         let prepared = (|| -> Result<Box<RequestState>> {
+            // Every draw of an invalid sampler config would panic: fail
+            // the request before it joins or creates a context.
+            check_sampler(request.config.sampler)?;
             let engine = ForecastEngine::with_source(request.config, request.source);
             let codec = request.codec.build(&request.config);
             let fitted = codec.fit(&request.train)?;

@@ -32,7 +32,7 @@ use mc_lm::vocab::{TokenId, Vocab};
 
 use crate::codec::{DigitCodec, FittedCodec, FittedDigitCodec, DIGIT_STREAM_CHARS};
 use crate::config::ForecastConfig;
-use crate::engine::{decode_mask, EngineRun, SessionSampler};
+use crate::engine::{check_sampler, decode_mask, EngineRun, SessionSampler};
 use crate::mux::MuxMethod;
 use crate::robust::{run_attempts, ForecastReport, SampleSource};
 
@@ -165,6 +165,7 @@ impl StreamingMultiCast {
             return Err(invalid_param("horizon", "must be >= 1"));
         }
         let cfg = self.config;
+        check_sampler(cfg.sampler)?;
         let separators = self.codec.separators_for(horizon);
         let options = GenerateOptions::until_separators(
             self.separator,

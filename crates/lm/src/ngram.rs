@@ -17,24 +17,25 @@
 //!
 //! Counts live in a flat `CountTable` (`counts.rs`). The mixing math is
 //! one function, `interpolate`, which the mutable [`NGramLm`] runs on its
-//! own table and each [`NGramSession`] runs on its overlay-over-base view.
+//! own table's rows and each [`NGramSession`] runs on the rows of its
+//! overlay-over-base view, each row looked up once per token.
 
 use crate::cost::InferenceCost;
-use crate::counts::{CountState, ForkState, History, Rows};
+use crate::counts::{CountState, ForkState, Rows};
 use crate::model::{DecodeSession, FrozenLm, LanguageModel};
 use crate::vocab::TokenId;
 
-/// Writes the interpolated next-token distribution over `rows` after
-/// `history` into `out`, returning the orders visited.
+/// Writes the interpolated next-token distribution over the current
+/// context's `rows` into `out`, returning the orders visited.
 ///
 /// Order 0 is a unigram with add-one smoothing toward uniform; each higher
 /// order `k` with a seen context blends in its counts with weight
 /// λ = n / (n + gamma · distinct). A context never seen keeps the
 /// lower-order estimate (full back-off).
-fn interpolate(rows: &impl Rows, history: &History, gamma: f64, out: &mut [f64]) -> u64 {
+fn interpolate(rows: &Rows<'_>, gamma: f64, out: &mut [f64]) -> u64 {
     assert_eq!(out.len(), rows.width(), "distribution buffer size");
     let v = out.len() as f64;
-    match rows.row(0, 0) {
+    match rows.row(0) {
         Some(c) => {
             let total = totals(c).0 as f64;
             for (o, &x) in out.iter_mut().zip(c) {
@@ -43,8 +44,8 @@ fn interpolate(rows: &impl Rows, history: &History, gamma: f64, out: &mut [f64])
         }
         None => out.fill(1.0 / v),
     }
-    for (k, &key) in history.keys().iter().enumerate().skip(1) {
-        let Some(c) = rows.row(k, key) else { continue };
+    for k in 1..rows.orders() {
+        let Some(c) = rows.row(k) else { continue };
         let (total, distinct) = totals(c);
         if total > 0 {
             // u32 counts sum exactly in f64, so this equals the f64 sum.
@@ -55,7 +56,7 @@ fn interpolate(rows: &impl Rows, history: &History, gamma: f64, out: &mut [f64])
             }
         }
     }
-    history.keys().len() as u64
+    rows.orders() as u64
 }
 
 /// A row's total count and number of tokens with a non-zero count.
@@ -132,9 +133,9 @@ impl FrozenLm for FrozenNGram {
 /// One sample's decode cursor over a frozen [`NGramLm`].
 ///
 /// Counts for generated tokens go into an overlay table that starts empty
-/// and copies a context's row from the base on first touch, so the frozen
-/// base is shared read-only and `interpolate` sees exactly the counts a
-/// mutated clone would.
+/// (the thread's recycled one, when it has one) and copies a context's row
+/// from the base on first touch, so the frozen base is shared read-only
+/// and `interpolate` sees exactly the counts a mutated clone would.
 #[derive(Debug)]
 pub struct NGramSession<'a> {
     fork: ForkState<'a>,
@@ -157,7 +158,7 @@ impl DecodeSession for NGramSession<'_> {
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        let visited = interpolate(&self.fork.rows(), &self.fork.history, self.gamma, out);
+        let visited = interpolate(&self.fork.rows(), self.gamma, out);
         self.fork.cost.work_units += visited;
     }
 
@@ -180,8 +181,8 @@ impl LanguageModel for NGramLm {
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        let s = &mut self.state;
-        s.cost.work_units += interpolate(&s.table, &s.history, self.gamma, out);
+        let visited = interpolate(&self.state.rows(), self.gamma, out);
+        self.state.cost.work_units += visited;
     }
 
     fn cost(&self) -> InferenceCost {

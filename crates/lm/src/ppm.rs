@@ -14,27 +14,29 @@
 //!
 //! Counts live in a flat `CountTable` (`counts.rs`), the same layout as
 //! `NGramLm`. The escape/exclusion math is one function, `escape`, which
-//! the mutable [`PpmLm`] runs on its own table and each [`PpmSession`]
-//! runs on its overlay-over-base view.
+//! the mutable [`PpmLm`] runs on its own table's rows and each
+//! [`PpmSession`] runs on the rows of its overlay-over-base view, each row
+//! looked up once per token.
 
 use crate::cost::InferenceCost;
-use crate::counts::{CountState, ForkState, History, Rows};
+use crate::counts::{CountState, ForkState, Rows};
 use crate::model::{DecodeSession, FrozenLm, LanguageModel};
 use crate::vocab::TokenId;
 
-/// Writes the PPM-C next-token distribution over `rows` after `history`
-/// into `out`, using `excluded` (one flag per token) as scratch. Returns
-/// the orders visited.
-fn escape(rows: &impl Rows, history: &History, excluded: &mut [bool], out: &mut [f64]) -> u64 {
+/// Writes the PPM-C next-token distribution over the current context's
+/// `rows` into `out`, using `excluded` (one flag per token) as scratch.
+/// Returns the orders visited: every resolved order down to the one where
+/// the escape mass falls below the cut-off.
+fn escape(rows: &Rows<'_>, excluded: &mut [bool], out: &mut [f64]) -> u64 {
     assert_eq!(out.len(), rows.width(), "distribution buffer size");
     out.fill(0.0);
     excluded.fill(false);
     // Mass still to distribute (product of escapes so far).
     let mut remaining = 1.0f64;
     let mut visited = 0;
-    for (k, &key) in history.keys().iter().enumerate().rev() {
+    for k in (0..rows.orders()).rev() {
         visited += 1;
-        let Some(c) = rows.row(k, key) else {
+        let Some(c) = rows.row(k) else {
             continue; // unseen context: free escape to the next order
         };
         // Counts over non-excluded symbols only (PPM exclusion).
@@ -168,7 +170,7 @@ impl DecodeSession for PpmSession<'_> {
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        let visited = escape(&self.fork.rows(), &self.fork.history, &mut self.excluded, out);
+        let visited = escape(&self.fork.rows(), &mut self.excluded, out);
         self.fork.cost.work_units += visited;
     }
 
@@ -191,8 +193,8 @@ impl LanguageModel for PpmLm {
     }
 
     fn next_distribution(&mut self, out: &mut [f64]) {
-        let s = &mut self.state;
-        s.cost.work_units += escape(&s.table, &s.history, &mut self.excluded, out);
+        let visited = escape(&self.state.rows(), &mut self.excluded, out);
+        self.state.cost.work_units += visited;
     }
 
     fn cost(&self) -> InferenceCost {

@@ -595,7 +595,7 @@ pub(crate) mod ppm {
 mod tests {
     use proptest::prelude::*;
 
-    use crate::model::{DecodeSession, FrozenLm, LanguageModel};
+    use crate::model::{observe_all, DecodeSession, FrozenLm, LanguageModel};
     use crate::sampler::{Sampler, SamplerConfig};
     use crate::vocab::TokenId;
 
@@ -610,9 +610,15 @@ mod tests {
         split: usize,
         /// Tokens a clone of the half-fitted model observes.
         tail: Vec<TokenId>,
-        /// One `(sampler seed, tokens to draw)` per session.
-        sessions: Vec<(u64, usize)>,
+        sessions: Vec<Session>,
     }
+
+    /// A session to decode: its sampler seed, the tokens to draw, and two
+    /// bits per step choosing the step's kind (see [`interleave`]).
+    type Session = (u64, usize, u64);
+
+    /// A frozen model and its reference twin.
+    type Frozen = (Box<dyn FrozenLm>, Box<dyn FrozenLm>);
 
     fn same_bits(new: &[f64], old: &[f64], what: &str) -> Result<(), TestCaseError> {
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -642,33 +648,45 @@ mod tests {
         Ok(())
     }
 
-    /// Decodes interleaved session pairs, one step per live session per
-    /// round: same distribution bits, same seeded draw, same cost.
-    fn decode(
+    /// Decodes session pairs forked together, one step per live session
+    /// per round: same distribution bits, same seeded draw, same cost. A
+    /// step of kind 0 observes a token drawn from a uniform distribution
+    /// without reading the model's first; kind 1 reads the distribution
+    /// twice before drawing from it; the others read it once.
+    fn interleave(
         new: &dyn FrozenLm,
         old: &dyn FrozenLm,
-        sessions: &[(u64, usize)],
+        sessions: &[Session],
     ) -> Result<(), TestCaseError> {
         let vocab = new.vocab_size();
         type Pair<'m> = (Box<dyn DecodeSession + 'm>, Box<dyn DecodeSession + 'm>);
-        let mut live: Vec<(Pair, Sampler, Sampler, usize)> = sessions
+        let mut live: Vec<(Pair, Sampler, Sampler, usize, u64)> = sessions
             .iter()
-            .map(|&(seed, len)| {
+            .map(|&(seed, len, kinds)| {
                 let config = SamplerConfig { seed, ..SamplerConfig::default() };
-                ((new.fork(), old.fork()), Sampler::new(config), Sampler::new(config), len)
+                ((new.fork(), old.fork()), Sampler::new(config), Sampler::new(config), len, kinds)
             })
             .collect();
+        let uniform = vec![1.0 / vocab as f64; vocab];
         let (mut pn, mut po) = (vec![0.0; vocab], vec![0.0; vocab]);
         for step in 0..MAX_SESSION {
-            for (i, ((sn, so), rn, ro, len)) in live.iter_mut().enumerate() {
+            for (i, ((sn, so), rn, ro, len, kinds)) in live.iter_mut().enumerate() {
                 if step >= *len {
                     continue;
                 }
-                sn.next_distribution(&mut pn);
-                so.next_distribution(&mut po);
-                same_bits(&pn, &po, &format!("session {i} step {step}"))?;
-                let (tn, to) = (rn.sample(&pn, |_| true), ro.sample(&po, |_| true));
-                prop_assert_eq!(tn, to, "session {} step {} draw", i, step);
+                let (reads, kind) = match (*kinds >> (2 * (step % 32))) & 3 {
+                    0 => (0, "unread"),
+                    1 => (2, "reread"),
+                    _ => (1, "read"),
+                };
+                for _ in 0..reads {
+                    sn.next_distribution(&mut pn);
+                    so.next_distribution(&mut po);
+                    same_bits(&pn, &po, &format!("session {i} step {step} ({kind})"))?;
+                }
+                let (from_n, from_o) = if reads == 0 { (&uniform, &uniform) } else { (&pn, &po) };
+                let (tn, to) = (rn.sample(from_n, |_| true), ro.sample(from_o, |_| true));
+                prop_assert_eq!(tn, to, "session {} step {} ({}) draw", i, step, kind);
                 sn.observe(tn);
                 so.observe(to);
             }
@@ -679,13 +697,37 @@ mod tests {
         Ok(())
     }
 
+    /// Decodes `sessions` forked together, then again one after another,
+    /// then one from `other` (a model of another vocabulary and order)
+    /// and two more from the model itself. A session's overlay is its
+    /// thread's spare once it drops, so the one-by-one sessions reuse
+    /// their predecessors' overlays; `other`'s session rejects the spare
+    /// and leaves its own, which the next session rejects in turn, and
+    /// the last reuses that one's.
+    fn decode(
+        new: &dyn FrozenLm,
+        old: &dyn FrozenLm,
+        other: &Frozen,
+        sessions: &[Session],
+    ) -> Result<(), TestCaseError> {
+        interleave(new, old, sessions)?;
+        for session in sessions.chunks(1) {
+            interleave(new, old, session)?;
+        }
+        let first = &sessions[..1];
+        interleave(other.0.as_ref(), other.1.as_ref(), first)?;
+        interleave(new, old, first)?;
+        interleave(new, old, first)
+    }
+
     /// Fits both models on the prompt's prefix, checks that a clone
     /// evolves independently, refits the suffix on the frozen models and
     /// decodes sessions from them.
     fn differential<N, O>(
         mut new: N,
         mut old: O,
-        freeze: impl FnOnce(N, O) -> (Box<dyn FrozenLm>, Box<dyn FrozenLm>),
+        freeze: impl FnOnce(N, O) -> Frozen,
+        other: &Frozen,
         input: &Input,
     ) -> Result<(), TestCaseError>
     where
@@ -702,7 +744,23 @@ mod tests {
         prop_assert!(new.refit_extend(&input.prompt[input.split..]));
         prop_assert!(old.refit_extend(&input.prompt[input.split..]));
         prop_assert_eq!(new.prompt_cost(), old.prompt_cost());
-        decode(new.as_ref(), old.as_ref(), &input.sessions)
+        decode(new.as_ref(), old.as_ref(), other, &input.sessions)
+    }
+
+    /// Fits both models on `prompt` and freezes them.
+    fn fitted<N, O>(
+        mut new: N,
+        mut old: O,
+        prompt: &[TokenId],
+        freeze: impl FnOnce(N, O) -> Frozen,
+    ) -> Frozen
+    where
+        N: LanguageModel,
+        O: LanguageModel,
+    {
+        observe_all(&mut new, prompt);
+        observe_all(&mut old, prompt);
+        freeze(new, old)
     }
 
     /// Maps raw draws onto the vocabulary. A non-zero `period` repeats the
@@ -715,7 +773,7 @@ mod tests {
         raw_prompt: Vec<u32>,
         split: u64,
         raw_tail: Vec<u32>,
-        sessions: Vec<(u64, usize)>,
+        sessions: Vec<Session>,
     ) -> Input {
         let tokens = |raw: Vec<u32>| raw.into_iter().map(|t| t % vocab as u32).collect::<Vec<_>>();
         let mut prompt = tokens(raw_prompt);
@@ -769,7 +827,15 @@ mod tests {
         }
         let (new, old) = (new.into_frozen(), old.into_frozen());
         assert_eq!(new.prompt_cost(), old.prompt_cost());
-        decode(&new, &old, &[(1, MAX_SESSION), (7, MAX_SESSION), (42, 3)]).unwrap();
+        let other = fitted(
+            crate::ppm::PpmLm::new(vocab + 1, 3, "ppm"),
+            super::ppm::PpmLm::new(vocab + 1, 3, "ppm"),
+            &prompt[..200],
+            |n, o| (Box::new(n.into_frozen()), Box::new(o.into_frozen())),
+        );
+        let sessions =
+            [(1, MAX_SESSION, u64::MAX), (7, MAX_SESSION, 0x5555_5555_5555_5555), (42, 3, 0x9e34)];
+        decode(&new, &old, &other, &sessions).unwrap();
     }
 
     proptest! {
@@ -784,18 +850,25 @@ mod tests {
             raw_prompt in prop::collection::vec(any::<u32>(), 0..MAX_PROMPT + 1),
             split in any::<u64>(),
             raw_tail in prop::collection::vec(any::<u32>(), 0..MAX_SESSION + 1),
-            sessions in prop::collection::vec((any::<u64>(), 0..MAX_SESSION + 1), 1..4),
+            sessions in prop::collection::vec(
+                (any::<u64>(), 0..MAX_SESSION + 1, any::<u64>()),
+                1..4,
+            ),
         ) {
             let input = input(vocab, period, raw_prompt, split, raw_tail, sessions);
+            let freeze = |n: crate::ngram::NGramLm, o: super::ngram::NGramLm| -> Frozen {
+                (Box::new(n.into_frozen()), Box::new(o.into_frozen()))
+            };
             let new = crate::ngram::NGramLm::new(vocab, order, gamma, "ngram");
             let old = super::ngram::NGramLm::new(vocab, order, gamma, "ngram");
             prop_assert_eq!(new.max_order(), old.max_order());
-            differential(
-                new,
-                old,
-                |n, o| (Box::new(n.into_frozen()), Box::new(o.into_frozen())),
-                &input,
-            )?;
+            let other = fitted(
+                crate::ngram::NGramLm::new(vocab + 1, (order + 1) % 11, gamma, "ngram"),
+                super::ngram::NGramLm::new(vocab + 1, (order + 1) % 11, gamma, "ngram"),
+                &input.prompt,
+                freeze,
+            );
+            differential(new, old, freeze, &other, &input)?;
         }
 
         #[test]
@@ -806,17 +879,24 @@ mod tests {
             raw_prompt in prop::collection::vec(any::<u32>(), 0..MAX_PROMPT + 1),
             split in any::<u64>(),
             raw_tail in prop::collection::vec(any::<u32>(), 0..MAX_SESSION + 1),
-            sessions in prop::collection::vec((any::<u64>(), 0..MAX_SESSION + 1), 1..4),
+            sessions in prop::collection::vec(
+                (any::<u64>(), 0..MAX_SESSION + 1, any::<u64>()),
+                1..4,
+            ),
         ) {
             let input = input(vocab, period, raw_prompt, split, raw_tail, sessions);
+            let freeze = |n: crate::ppm::PpmLm, o: super::ppm::PpmLm| -> Frozen {
+                (Box::new(n.into_frozen()), Box::new(o.into_frozen()))
+            };
             let new = crate::ppm::PpmLm::new(vocab, order, "ppm");
             let old = super::ppm::PpmLm::new(vocab, order, "ppm");
-            differential(
-                new,
-                old,
-                |n, o| (Box::new(n.into_frozen()), Box::new(o.into_frozen())),
-                &input,
-            )?;
+            let other = fitted(
+                crate::ppm::PpmLm::new(vocab + 1, (order + 1) % 11, "ppm"),
+                super::ppm::PpmLm::new(vocab + 1, (order + 1) % 11, "ppm"),
+                &input.prompt,
+                freeze,
+            );
+            differential(new, old, freeze, &other, &input)?;
         }
     }
 }

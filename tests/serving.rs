@@ -10,9 +10,11 @@
 //! fail its quorum and one rigged to panic) and audit the per-request cost
 //! attribution against the ledger metered inside the model boundary.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 
 use mc_datasets::generators::sinusoids;
+use mc_lm::{InferenceCost, SamplerConfig};
 use mc_obs::{Counter, Observer};
 use mc_sax::alphabet::{SaxAlphabet, SaxAlphabetKind};
 use mc_sax::encoder::SaxConfig;
@@ -22,8 +24,9 @@ use mc_tslib::series::MultivariateSeries;
 use multicast_core::robust::{DefectClass, FaultSpec, RobustPolicy, SampleSource};
 use multicast_core::serve::ServeHandle;
 use multicast_core::{
-    serve_all, serve_all_observed, CodecChoice, ForecastConfig, ForecastRequest,
-    MultiCastForecaster, MuxMethod, Priority, RequestId, ServeConfig, ServeRun,
+    serve_all, serve_all_observed, CodecChoice, DigitCodec, ForecastConfig, ForecastEngine,
+    ForecastRequest, MultiCastForecaster, MuxMethod, Priority, RequestId, ServeConfig, ServeRun,
+    StreamingMultiCast,
 };
 
 fn series(n: usize, phase: f64, offset: f64) -> MultivariateSeries {
@@ -635,4 +638,114 @@ fn context_sharing_follows_prompts_not_horizons() {
     let shared = run.outcomes[0].context.unwrap();
     assert_eq!(run.contexts[shared].requests, 3);
     assert_cost_conserved(&run);
+}
+
+/// Panics anywhere in this process whose message is one of
+/// `Sampler::new`'s, counted by a panic hook that then defers to the
+/// previous one.
+fn sampler_panics() -> &'static AtomicUsize {
+    static COUNT: AtomicUsize = AtomicUsize::new(0);
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            let fields = ["temperature ", "top_p ", "top_k ", "epsilon "];
+            if fields.iter().any(|field| message.starts_with(field)) {
+                COUNT.fetch_add(1, Ordering::SeqCst);
+            }
+            previous(info);
+        }));
+    });
+    &COUNT
+}
+
+fn assert_invalid_sampler<T: std::fmt::Debug>(
+    outcome: &Result<T, TsError>,
+    field: &str,
+    tag: &str,
+) {
+    match outcome {
+        Err(TsError::InvalidParameter { name: "sampler", message }) => {
+            assert!(message.starts_with(field), "{tag}: {message}");
+        }
+        other => panic!("{tag}: expected an invalid `sampler`, got {other:?}"),
+    }
+}
+
+/// A sampler config `Sampler::new` rejects fails its request with a typed
+/// error, zero cost and no draw, at every worker count and through the
+/// engine and the streaming forecaster; nothing panics, and a valid
+/// request in the same batch serves exactly as it does alone.
+#[test]
+fn invalid_sampler_config_fails_typed_before_any_draw() {
+    let panics = sampler_panics();
+    let panics_before = panics.load(Ordering::SeqCst);
+    let train = series(72, 0.0, 10.0);
+    let valid = digit_request(train.clone(), 6, MuxMethod::ValueInterleave, 42, 3);
+    let sax = SaxConfig {
+        segment_len: 3,
+        alphabet: SaxAlphabet::new(SaxAlphabetKind::Alphabetic, 5).unwrap(),
+    };
+    let base = ForecastConfig::default().sampler;
+    let table = [
+        ("temperature", SamplerConfig { temperature: 0.0, ..base }),
+        ("temperature", SamplerConfig { temperature: -1.0, ..base }),
+        ("temperature", SamplerConfig { temperature: f64::NAN, ..base }),
+        ("top_p", SamplerConfig { top_p: Some(0.0), ..base }),
+        ("top_p", SamplerConfig { top_p: Some(1.5), ..base }),
+        ("top_p", SamplerConfig { top_p: Some(f64::NAN), ..base }),
+        ("top_k", SamplerConfig { top_k: Some(0), ..base }),
+        ("epsilon", SamplerConfig { epsilon: 1.0, ..base }),
+        ("epsilon", SamplerConfig { epsilon: f64::NAN, ..base }),
+    ];
+    for workers in [1, 2, 8] {
+        let config = ServeConfig::with_workers(workers);
+        let alone = serve_all(std::slice::from_ref(&valid), &config);
+        let solo = &alone.outcomes[0];
+        for (field, sampler) in table {
+            let tag = format!("{field} {sampler:?}, {workers} workers");
+            let bad_config = ForecastConfig { samples: 5, sampler, ..valid.config };
+            // Same history and codec as `valid`: it would join its context.
+            let bad_digit = ForecastRequest { config: bad_config, ..valid.clone() };
+            let bad_sax = ForecastRequest { codec: CodecChoice::Sax(sax), ..bad_digit.clone() };
+            let run = serve_all(&[bad_digit, valid.clone(), bad_sax], &config);
+            for bad in [&run.outcomes[0], &run.outcomes[2]] {
+                assert_invalid_sampler(&bad.forecast, field, &tag);
+                assert_eq!(bad.cost, InferenceCost::default(), "{tag}");
+                assert!(bad.report.is_none() && bad.context.is_none(), "{tag}");
+            }
+            let ok = &run.outcomes[1];
+            assert_bit_identical(
+                ok.forecast.as_ref().unwrap(),
+                solo.forecast.as_ref().unwrap(),
+                &tag,
+            );
+            assert_eq!((&ok.report, ok.cost), (&solo.report, solo.cost), "{tag}");
+            assert_eq!(run.contexts.len(), 1, "{tag}: the bad requests made no context");
+            let (shared, own) = (&run.contexts[0], &alone.contexts[0]);
+            assert_eq!((shared.requests, shared.sessions), (1, own.sessions), "{tag}: draws");
+            assert_cost_conserved(&run);
+        }
+    }
+    for (field, sampler) in table {
+        let config = ForecastConfig { samples: 3, sampler, ..valid.config };
+        let method = MuxMethod::ValueInterleave;
+        let tag = format!("{field} {sampler:?}");
+        let mut forecaster = MultiCastForecaster::new(method, config);
+        assert_invalid_sampler(&forecaster.forecast(&train, 6), field, &tag);
+        let engine = ForecastEngine::new(config);
+        let codec = DigitCodec::from_config(method, &config);
+        let drawn = engine.draw(&codec, &train, 6, 3, |i| config.sampler_for(i));
+        assert_invalid_sampler(&drawn, field, &tag);
+        let mut stream = StreamingMultiCast::new(method, config, &train).unwrap();
+        assert_invalid_sampler(&stream.predict(6), field, &tag);
+        assert!(stream.last_report.is_none(), "{tag}: streaming drew");
+    }
+    assert_eq!(panics.load(Ordering::SeqCst), panics_before, "a sampler panicked");
 }
